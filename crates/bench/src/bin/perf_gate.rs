@@ -1,8 +1,7 @@
 //! Perf smoke gate for CI: times the hot nn kernels, a short training
 //! run, a full-city generation sweep under **each kernel backend**
-//! (scalar reference, simd), a shard-count sweep over the multiprocess
-//! gradient reducer, the observability layer's disabled-mode overhead,
-//! and the weight-storage sweep (JSON vs f32/f16/int8 `SGWT`
+//! (scalar reference, simd), the observability layer's disabled-mode
+//! overhead, and the weight-storage sweep (JSON vs f32/f16/int8 `SGWT`
 //! containers, plus dequantizing-GEMM bandwidth), prints fixed-width
 //! tables and writes the numbers to `BENCH_pr10.json` so regressions
 //! show up in the job summary rather than only in local Criterion
@@ -20,7 +19,7 @@
 //! bytes during city generation (hard assertion in `spectragan-core`'s
 //! `streaming_generation` test), and the simd-over-scalar speedups.
 //!
-//! Three checks here *are* hard:
+//! Two checks here *are* hard:
 //!
 //! * the simd backend must beat the scalar reference by at least
 //!   [`MIN_SIMD_CONV_SPEEDUP`]× on the `conv2d_bias_fwd_bwd_27ch_16px`
@@ -32,21 +31,12 @@
 //!   baseline the budget was set against). The projection multiplies
 //!   the measured cost of one disabled gate probe by a counted (not
 //!   guessed) number of gate sites per step, so it cannot be fooled by
-//!   wall-clock noise the way a naive off-vs-on comparison can;
-//! * the projected per-step cost of the `GradReducer` seam at
-//!   `--shards 1` — what the compute/reduce/apply refactor added to
-//!   the single-process loop — must stay under
-//!   [`MAX_SEAM_OVERHEAD_PCT`] of a scalar training step. Measured the
-//!   same projection way: microbench the `LocalReducer` dispatch with
-//!   a no-op driver and divide by the real step time.
+//!   wall-clock noise the way a naive off-vs-on comparison can.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use spectragan_core::{
-    GradReducer, LocalReducer, Phase, SpectraGan, SpectraGanConfig, StepGrads, TrainConfig,
-    TrainOptions,
-};
+use spectragan_core::{SpectraGan, SpectraGanConfig, TrainConfig};
 use spectragan_nn::{Binding, Conv2d, Linear, ParamStore};
 use spectragan_obs as obs;
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
@@ -61,12 +51,6 @@ const MAX_DISABLED_OBS_OVERHEAD_PCT: f64 = 2.0;
 /// Hard floor on the simd-over-scalar speedup of the
 /// `conv2d_bias_fwd_bwd_27ch_16px` microbench.
 const MIN_SIMD_CONV_SPEEDUP: f64 = 2.0;
-
-/// Hard ceiling on the projected per-step cost of the `GradReducer`
-/// seam at `--shards 1`, as a percentage of a scalar training step —
-/// the "lifting reduction behind a trait object must not slow down
-/// single-process training" contract.
-const MAX_SEAM_OVERHEAD_PCT: f64 = 3.0;
 
 /// The microbench the hard speedup gate keys on.
 const CONV_GATE_BENCH: &str = "conv2d_bias_fwd_bwd_27ch_16px";
@@ -142,24 +126,6 @@ struct ObsGate {
     projected_overhead_pct: f64,
 }
 
-/// One shard topology's measured step time (scalar backend).
-#[derive(Serialize)]
-struct ShardRow {
-    shards: usize,
-    /// `local` = in-process `LocalReducer`; `multiprocess` = forked
-    /// workers speaking gradient frames over pipes (at shards = 1 the
-    /// multiprocess row covers the framing path with zero workers).
-    mode: String,
-    ms_per_step: f64,
-}
-
-#[derive(Serialize)]
-struct ShardGate {
-    sweep: Vec<ShardRow>,
-    ns_per_seam_roundtrip: f64,
-    seam_overhead_pct: f64,
-}
-
 /// One model-storage format's load latency and residency profile.
 #[derive(Serialize)]
 struct WeightsRow {
@@ -209,7 +175,6 @@ struct WeightsGate {
 struct Report {
     backends: Vec<BackendSweep>,
     speedups: Vec<SpeedupRow>,
-    shard: ShardGate,
     obs: ObsGate,
     weights: WeightsGate,
 }
@@ -339,127 +304,6 @@ fn train_gate() -> TrainGate {
         fresh_kib_per_step: stats.fresh_bytes as f64 / 1024.0 / steps as f64,
         reused_buffers_per_step: stats.reused as f64 / steps as f64,
         pooled_mib: arena::pooled_bytes() as f64 / (1024.0 * 1024.0),
-    }
-}
-
-/// Shard sweep and seam-overhead gate for the sharded-training seam.
-///
-/// The sweep wall-clocks a short scalar training run at shards ∈
-/// {1, 2, 4} (plus the `--shards 1` multiprocess framing path, which
-/// runs the full codec with zero forked workers). Compute is
-/// *replicated* across shards — that is what buys bit-identical
-/// weights at any shard count — so on a small host the sweep shows
-/// process/framing overhead, not speedup; the rows exist to catch that
-/// overhead growing, not to demonstrate scaling.
-///
-/// The hard gate is a projection, like the obs gate: what the
-/// compute/reduce/apply refactor added to the single-process loop is
-/// one `LocalReducer` round trip per step (two dynamic dispatches, a
-/// `Phase` discriminant, one `StepGrads` move), so microbench exactly
-/// that with a no-op driver and hard-assert it under
-/// [`MAX_SEAM_OVERHEAD_PCT`] of the measured scalar step. A wall-clock
-/// diff against a loop that no longer exists would be noise; the
-/// projection cannot be.
-fn shard_gate(ms_per_step_local: f64) -> ShardGate {
-    let ds = DatasetConfig {
-        weeks: 1,
-        steps_per_hour: 1,
-        size_scale: 0.36,
-    };
-    let city = generate_city(
-        &CityConfig {
-            name: "SG".into(),
-            height: 17,
-            width: 17,
-            seed: 4,
-        },
-        &ds,
-    );
-    let tc = TrainConfig {
-        steps: 10,
-        batch_patches: 2,
-        lr: 3e-3,
-        seed: 7,
-    };
-
-    let mut sweep = vec![ShardRow {
-        shards: 1,
-        mode: "local".to_string(),
-        ms_per_step: ms_per_step_local,
-    }];
-    for (shards, force) in [(1usize, true), (2, false), (4, false)] {
-        let opts = TrainOptions {
-            shards,
-            force_multiprocess: force,
-            ..TrainOptions::default()
-        };
-        let mut best = f64::INFINITY;
-        // Best-of-2 after one warm-up: each run re-forks its workers,
-        // so the warm-up only pre-fills the tensor pools.
-        let mut model = SpectraGan::new(SpectraGanConfig::tiny(), 0);
-        model
-            .train_with(std::slice::from_ref(&city), &tc, &opts)
-            .expect("shard sweep warm-up failed");
-        for _ in 0..2 {
-            let start = Instant::now();
-            model
-                .train_with(std::slice::from_ref(&city), &tc, &opts)
-                .expect("shard sweep run failed");
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        sweep.push(ShardRow {
-            shards,
-            mode: "multiprocess".to_string(),
-            ms_per_step: best * 1e3 / tc.steps as f64,
-        });
-    }
-
-    // The seam microbench: one compute + apply round trip through the
-    // `LocalReducer` with a driver that does no arithmetic.
-    let mut reducer = LocalReducer;
-    let mut driver = |phase: Phase<'_>| match phase {
-        Phase::Compute { step, lane } => {
-            black_box((step, lane));
-            Some(StepGrads {
-                d_loss: 0.0,
-                g_adv: 0.0,
-                l1: 0.0,
-                grad_norm_d: 0.0,
-                grad_norm_g: 0.0,
-                d_updates: Vec::new(),
-                g_updates: Vec::new(),
-            })
-        }
-        Phase::Apply { grads } => {
-            black_box(grads.d_loss);
-            None
-        }
-    };
-    let iters = 2_000_000u64;
-    for i in 0..1000u64 {
-        let g = reducer.compute(i, 0, &mut driver).expect("seam compute");
-        reducer.apply(i, 0, &g, &mut driver).expect("seam apply");
-    }
-    let t = Instant::now();
-    for i in 0..iters {
-        let g = reducer.compute(i, 0, &mut driver).expect("seam compute");
-        reducer
-            .apply(i, 0, black_box(&g), &mut driver)
-            .expect("seam apply");
-    }
-    let ns_roundtrip = t.elapsed().as_secs_f64() * 1e9 / iters as f64;
-    let seam_overhead_pct = ns_roundtrip / (ms_per_step_local * 1e6) * 100.0;
-    assert!(
-        seam_overhead_pct < MAX_SEAM_OVERHEAD_PCT,
-        "GradReducer seam projects to {seam_overhead_pct:.4}% of a \
-         {ms_per_step_local:.1} ms step ({ns_roundtrip:.1} ns/round trip) — \
-         over the {MAX_SEAM_OVERHEAD_PCT}% budget"
-    );
-
-    ShardGate {
-        sweep,
-        ns_per_seam_roundtrip: ns_roundtrip,
-        seam_overhead_pct,
     }
 }
 
@@ -873,16 +717,12 @@ fn main() {
     let scalar = backend_sweep(BackendKind::Scalar);
     let simd = backend_sweep(BackendKind::Simd);
 
-    // The obs and seam budgets are defined against the scalar
-    // reference step (the ratio inflates mechanically as kernels get
-    // faster, which would punish the simd backend for being fast, not
-    // the gated layer for being slow). Pin the backend so the
-    // instrumented runs match the step the budgets divide by. The
-    // shard sweep forks workers, which is safe here: the pool's
-    // threads are scoped per call, so nothing else is running at fork
-    // time.
+    // The obs budget is defined against the scalar reference step
+    // (the ratio inflates mechanically as kernels get faster, which
+    // would punish the simd backend for being fast, not the gated
+    // layer for being slow). Pin the backend so the instrumented runs
+    // match the step the budget divides by.
     set_backend(Some(BackendKind::Scalar));
-    let shard = shard_gate(scalar.train.ms_per_step);
     let obs = obs_gate(scalar.train.ms_per_step);
     let weights = weights_gate();
     set_backend(None);
@@ -913,23 +753,6 @@ fn main() {
         conv.speedup,
         conv.simd,
         conv.scalar
-    );
-
-    println!();
-    println!("perf gate — shard sweep (scalar, replicated compute)");
-    println!("{:<8} {:<14} {:>12}", "shards", "mode", "ms/step");
-    for r in &shard.sweep {
-        println!("{:<8} {:<14} {:>12.1}", r.shards, r.mode, r.ms_per_step);
-    }
-    println!(
-        "{:<28} {:>12}",
-        "seam ns/round trip",
-        format!("{:.1}", shard.ns_per_seam_roundtrip)
-    );
-    println!(
-        "{:<28} {:>12}",
-        "seam overhead %",
-        format!("{:.5}", shard.seam_overhead_pct)
     );
 
     println!();
@@ -999,7 +822,6 @@ fn main() {
     let report = Report {
         backends: vec![scalar, simd],
         speedups,
-        shard,
         obs,
         weights,
     };

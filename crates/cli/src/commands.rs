@@ -203,20 +203,6 @@ pub fn cmd_train(args: &Args) -> Result<(), String> {
         obs: false,
         trace: args.get("trace").map(Path::new),
         metrics_snapshot: args.get("metrics-snapshot").map(Path::new),
-        // Shard topology is free to change across resumes (it never
-        // changes the math); the flag wins, then SPECTRAGAN_SHARDS.
-        shards: match args.get("shards") {
-            Some(s) => {
-                let n: usize = s
-                    .parse()
-                    .map_err(|_| format!("--shards got '{s}', expected integer"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                n
-            }
-            None => spectragan_tensor::envctl::shards(),
-        },
         // Accumulation is part of the step arithmetic: a resumed run
         // inherits the checkpoint's value unless overridden (train_with
         // rejects a mismatch).
@@ -233,12 +219,6 @@ pub fn cmd_train(args: &Args) -> Result<(), String> {
             (None, Some((_, found))) => found.checkpoint.grad_accum,
             (None, None) => 1,
         },
-        // Crash injection for the worker-death end-to-end test.
-        kill_worker_at_step: args
-            .get_parsed("kill-worker-at-step", 0usize, "integer")
-            .map(|s| if s == 0 { None } else { Some(s) })
-            .map_err(|e| e.to_string())?,
-        force_multiprocess: false,
     };
     if !args.switch("quiet") {
         match &resume {
@@ -533,7 +513,7 @@ USAGE:
   spectragan dataset  --out DIR [--country 1|2|all] [--weeks N] [--granularity 60|30|15] [--scale F]
   spectragan train    --data DIR --out MODEL.json [--steps N] [--lr F] [--variant V] [--holdout CITY] [--seed N] [--quiet]
                       [--run-dir DIR] [--checkpoint-every N] [--guard-grad-norm F] [--guard-max-retries N] [--op-stats]
-                      [--shards N] [--grad-accum K] [--trace TRACE.json] [--metrics-snapshot FILE.prom]
+                      [--grad-accum K] [--trace TRACE.json] [--metrics-snapshot FILE.prom]
   spectragan train    --data DIR --out MODEL.json --resume RUN_DIR [--steps N] [--holdout CITY] [--quiet]
   spectragan generate --model MODEL --context FILE.sgcm --hours N --out FILE.sgtm [--seed N] [--gen-batch N] [--csv]
                       [--weights-precision f32|f16|int8] [--trace TRACE.json] [--metrics-snapshot FILE.prom]
@@ -553,15 +533,9 @@ bit-identical to an uninterrupted run. Steps whose loss goes NaN/inf or
 whose gradient norm exceeds --guard-grad-norm are skipped, logged, and
 retried with a re-rolled RNG lane (at most --guard-max-retries times).
 --op-stats adds a per-op instrumentation table (call counts, wall time,
-buffer-pool traffic) to every train_log.jsonl record.
-
-Sharded training: --shards N (or SPECTRAGAN_SHARDS) forks N-1 worker
-processes that replicate each step and own slices of the reduced
-gradient, exchanged as CRC-framed messages over pipes; any shard count
-yields weights bit-identical to --shards 1, workers killed mid-step are
-respawned transparently, and the shard topology may change across a
---resume. --grad-accum K averages K minibatch gradients per optimizer
-step (K is checkpointed and must match on resume).
+buffer-pool traffic) to every train_log.jsonl record. --grad-accum K
+averages K minibatch gradients per optimizer step (K is checkpointed
+and must match on resume).
 
 Generation streams patch chunks through a bounded in-flight window, so
 peak memory is independent of city size and patch overlap; --gen-batch

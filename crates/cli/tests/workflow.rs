@@ -5,6 +5,7 @@ use spectragan_cli::args::Args;
 use spectragan_cli::commands::{
     cmd_dataset, cmd_evaluate, cmd_export_weights, cmd_generate, cmd_info, cmd_train,
 };
+use spectragan_core::checkpoint;
 use std::path::PathBuf;
 
 fn run(cmd: fn(&Args) -> Result<(), String>, argv: &str) -> Result<(), String> {
@@ -268,6 +269,56 @@ fn op_stats_flag_populates_train_log() {
         log.contains("\"op_stats\":null"),
         "disabled run should serialize op_stats as null: {log}"
     );
+}
+
+/// `--grad-accum K` reaches the trainer: every log record and the
+/// checkpoint carry K, which a later `--resume` inherits.
+#[test]
+fn grad_accum_flag_is_recorded_in_log_and_checkpoint() {
+    let data = tmp("accum_data");
+    let model = tmp("accum_model.json");
+    let run_dir = tmp("accum_run");
+    let _ = std::fs::remove_dir_all(&run_dir);
+
+    run(
+        cmd_dataset,
+        &format!(
+            "dataset --out {} --country 2 --weeks 1 --scale 0.3",
+            data.display()
+        ),
+    )
+    .unwrap();
+    run(
+        cmd_train,
+        &format!(
+            "train --data {} --out {} --steps 2 --run-dir {} --grad-accum 2 --quiet",
+            data.display(),
+            model.display(),
+            run_dir.display()
+        ),
+    )
+    .unwrap();
+
+    let log = checkpoint::read_log(&run_dir).unwrap();
+    assert_eq!(log.len(), 2, "expected one record per step");
+    assert!(log.iter().all(|r| r.grad_accum == 2), "{log:?}");
+    let found = checkpoint::latest(&run_dir).unwrap().expect("a checkpoint");
+    assert_eq!((found.checkpoint.step, found.checkpoint.grad_accum), (2, 2));
+
+    // Resuming without the flag keeps the checkpoint's K.
+    run(
+        cmd_train,
+        &format!(
+            "train --data {} --out {} --resume {} --steps 3 --quiet",
+            data.display(),
+            model.display(),
+            run_dir.display()
+        ),
+    )
+    .unwrap();
+    let log = checkpoint::read_log(&run_dir).unwrap();
+    assert_eq!(log.len(), 3);
+    assert!(log.iter().all(|r| r.grad_accum == 2), "{log:?}");
 }
 
 /// `--trace` and `--metrics-snapshot` write their artifacts for both

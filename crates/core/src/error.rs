@@ -50,11 +50,10 @@ pub enum CoreError {
         /// Human-readable description of the last failure.
         reason: String,
     },
-    /// Sharded training failed: a worker process could not be forked
-    /// or respawned, the gradient wire protocol was violated, or a
-    /// shard's replicated compute diverged bitwise from the
-    /// coordinator's.
-    Shard(String),
+    /// The training options are unusable (e.g. zero gradient
+    /// accumulation micro-rounds) — a caller error caught before any
+    /// step runs.
+    InvalidOptions(String),
     /// Filesystem error, with the path for context.
     Io {
         /// The path being read or written.
@@ -88,7 +87,7 @@ impl fmt::Display for CoreError {
                      diverged too"
                 )
             }
-            CoreError::Shard(why) => write!(f, "sharded training error: {why}"),
+            CoreError::InvalidOptions(why) => write!(f, "invalid training options: {why}"),
             CoreError::Io { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }
@@ -135,10 +134,10 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("step 17") && msg.contains("NaN"), "{msg}");
-        let e = CoreError::Shard("shard 2: worker closed its report pipe".into());
+        let e = CoreError::InvalidOptions("grad_accum must be at least 1".into());
         let msg = e.to_string();
         assert!(
-            msg.contains("sharded training") && msg.contains("shard 2"),
+            msg.contains("invalid training options") && msg.contains("grad_accum"),
             "{msg}"
         );
         let e = CoreError::io(

@@ -43,7 +43,6 @@ pub mod error;
 pub mod fourier;
 pub mod generate;
 pub mod model;
-pub mod shard;
 pub mod train;
 pub mod weights;
 
@@ -51,6 +50,5 @@ pub use checkpoint::{Checkpoint, LogRecord};
 pub use config::{SpectraGanConfig, TrainConfig, Variant};
 pub use error::CoreError;
 pub use generate::{GenReport, PreparedContext};
-pub use shard::{GradReducer, LocalReducer, Phase, StepGrads};
 pub use train::{SpectraGan, TrainOptions, TrainStats};
 pub use weights::{Precision, WeightStore};

@@ -37,7 +37,6 @@ use crate::config::{SpectraGanConfig, TrainConfig, Variant};
 use crate::error::CoreError;
 use crate::fourier::{masked_spec_rows, patch_to_rows};
 use crate::model::{Discriminators, Generator};
-use crate::shard::{GradReducer, LocalReducer, Phase, StepGrads};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spectragan_geo::io::atomic_write;
@@ -120,25 +119,11 @@ pub struct TrainOptions<'a> {
     /// Write a Prometheus-style text snapshot of all metrics here when
     /// the run finishes. Implies `obs`.
     pub metrics_snapshot: Option<&'a Path>,
-    /// Number of training shards. 1 (the default) runs everything in
-    /// process; N > 1 forks N − 1 worker processes that replicate the
-    /// computation, each owning a slice of the reduced gradient — see
-    /// [`crate::shard`]. Any shard count produces **bit-identical**
-    /// weights.
-    pub shards: usize,
     /// Gradient-accumulation micro-rounds per step: gradients of
     /// `grad_accum` independent minibatches (RNG lanes derived from the
     /// step) are averaged before one optimizer update. 1 (the default)
     /// is the historical single-minibatch step, bit-for-bit.
     pub grad_accum: usize,
-    /// Crash injection for worker-robustness tests: SIGKILL one worker
-    /// process right after this step's compute phase starts. Requires
-    /// `shards > 1` (or [`TrainOptions::force_multiprocess`]).
-    pub kill_worker_at_step: Option<usize>,
-    /// Test hook: route reduction through the multiprocess reducer even
-    /// at `shards == 1`, so equivalence tests cover the process seam at
-    /// every shard count.
-    pub force_multiprocess: bool,
 }
 
 impl Default for TrainOptions<'_> {
@@ -154,10 +139,7 @@ impl Default for TrainOptions<'_> {
             obs: false,
             trace: None,
             metrics_snapshot: None,
-            shards: 1,
             grad_accum: 1,
-            kill_worker_at_step: None,
-            force_multiprocess: false,
         }
     }
 }
@@ -195,10 +177,29 @@ fn step_seed(seed: u64, step: u64, lane: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One step attempt's losses, gradient norms and gradients: the value
+/// `compute_grads` hands to the health check and then to `apply_grads`.
+///
+/// Update lists hold `(parameter, gradient)` in **ascending
+/// parameter-index order** (the order `Binding::bound` yields), which
+/// fixes the float-summation order of the gradient norms and of the
+/// optimizer's global-norm clip.
+struct StepGrads {
+    d_loss: f32,
+    g_adv: f32,
+    l1: f32,
+    /// Global L2 norm of the discriminator update (pre-clip).
+    grad_norm_d: f32,
+    /// Global L2 norm of the generator update (pre-clip).
+    grad_norm_g: f32,
+    d_updates: Vec<(ParamId, Tensor)>,
+    g_updates: Vec<(ParamId, Tensor)>,
+}
+
 /// Global L2 norm of a collected update list (pre-clip). Updates are in
 /// ascending parameter-index order, so the summation order — and hence
 /// the exact float result — matches the historical in-tape norm.
-fn norm_of(updates: &[(u32, Tensor)]) -> f32 {
+fn norm_of(updates: &[(ParamId, Tensor)]) -> f32 {
     updates
         .iter()
         .flat_map(|(_, g)| g.data().iter())
@@ -410,7 +411,6 @@ impl SpectraGan {
 
     /// Builds the serializable snapshot of the training state after
     /// `step` completed steps.
-    #[allow(clippy::too_many_arguments)]
     fn snapshot(
         &self,
         step: usize,
@@ -418,7 +418,7 @@ impl SpectraGan {
         opt_g: &Adam,
         opt_d: &Adam,
         stats: &TrainStats,
-        opts: &TrainOptions<'_>,
+        grad_accum: usize,
     ) -> Checkpoint {
         Checkpoint {
             format: checkpoint::CHECKPOINT_FORMAT.to_string(),
@@ -429,8 +429,7 @@ impl SpectraGan {
             opt_g: opt_g.export_state(),
             opt_d: opt_d.export_state(),
             stats: stats.clone(),
-            shards: opts.shards,
-            grad_accum: opts.grad_accum,
+            grad_accum,
         }
     }
 
@@ -442,11 +441,8 @@ impl SpectraGan {
         tc: &TrainConfig,
         opts: &TrainOptions<'_>,
     ) -> Result<TrainStats, CoreError> {
-        if opts.shards == 0 {
-            return Err(CoreError::Shard("shard count must be at least 1".into()));
-        }
         if opts.grad_accum == 0 {
-            return Err(CoreError::Shard(
+            return Err(CoreError::InvalidOptions(
                 "gradient accumulation must run at least 1 micro-round".into(),
             ));
         }
@@ -457,9 +453,8 @@ impl SpectraGan {
         let mut start_step = 0usize;
         if let Some(ck) = opts.resume_from {
             ck.validate_against(&self.cfg, tc)?;
-            // Shard topology may change across a resume — sharding
-            // never changes the math — but the accumulation factor is
-            // part of the step's arithmetic and must match.
+            // The accumulation factor is part of the step's arithmetic
+            // and must match.
             if ck.grad_accum != opts.grad_accum {
                 return Err(CoreError::Checkpoint(format!(
                     "checkpoint was trained with grad_accum {}, this run asks for {}",
@@ -492,29 +487,6 @@ impl SpectraGan {
         // node arena's capacity and returns every activation buffer to
         // the pool, so steady-state steps are allocation-free.
         let tape = Tape::new();
-        // The reduction seam (compute → ordered reduce → apply). Worker
-        // processes are forked lazily inside the first compute call, so
-        // they inherit a fully warmed coordinator: samples prepared,
-        // kernel backend and pool initialized, one local compute done.
-        #[cfg(unix)]
-        let mut reducer: Box<dyn GradReducer> = if opts.shards > 1 || opts.force_multiprocess {
-            Box::new(crate::shard::MultiprocessReducer::new(
-                opts.shards,
-                self.store.len(),
-                opts.kill_worker_at_step.map(|s| s as u64),
-            )?)
-        } else {
-            Box::new(LocalReducer)
-        };
-        #[cfg(not(unix))]
-        let mut reducer: Box<dyn GradReducer> = {
-            if opts.shards > 1 || opts.force_multiprocess {
-                return Err(CoreError::Shard(
-                    "multiprocess sharding needs a unix host (fork + pipes)".into(),
-                ));
-            }
-            Box::new(LocalReducer)
-        };
 
         for step in start_step..tc.steps {
             let step_start = Instant::now();
@@ -522,46 +494,27 @@ impl SpectraGan {
             let mut last_reason = String::new();
             for lane in 0..=opts.guard_max_retries {
                 let sp_step = obs::span_cat("train_step", "train");
-                let mut driver = |phase: Phase<'_>| -> Option<StepGrads> {
-                    match phase {
-                        Phase::Compute { step, lane } => Some(self.compute_grads(
-                            &tape,
-                            &samples,
-                            tc,
-                            step,
-                            lane,
-                            opts.grad_accum,
-                            cfg,
-                        )),
-                        Phase::Apply { grads } => {
-                            self.apply_grads(grads, &mut opt_g, &mut opt_d);
-                            None
-                        }
-                    }
-                };
-                let grads = reducer.compute(step as u64, lane, &mut driver)?;
-                let reason = health_reason(
-                    grads.d_loss,
-                    grads.g_adv,
-                    grads.l1,
-                    grads.grad_norm_d,
-                    grads.grad_norm_g,
-                    opts.guard_grad_norm,
+                let grads = self.compute_grads(
+                    &tape,
+                    &samples,
+                    tc,
+                    step as u64,
+                    lane,
+                    opts.grad_accum,
+                    cfg,
                 );
-                if reason.is_none() {
-                    // The update is healthy on every (bit-identical)
-                    // shard: apply it everywhere.
-                    reducer.apply(step as u64, lane, &grads, &mut driver)?;
-                }
-                drop(sp_step);
                 let outcome = StepOutcome {
                     d_loss: grads.d_loss,
                     g_adv: grads.g_adv,
                     l1: grads.l1,
                     grad_norm_d: grads.grad_norm_d,
                     grad_norm_g: grads.grad_norm_g,
-                    reason,
+                    reason: health_reason(&grads, opts.guard_grad_norm),
                 };
+                if outcome.reason.is_none() {
+                    self.apply_grads(grads, &mut opt_g, &mut opt_d);
+                }
+                drop(sp_step);
                 let wall_ms = step_start.elapsed().as_secs_f64() * 1e3;
                 let op_stats = opts.op_stats.then(stats::take_table);
                 let spans = obs_on.then(|| {
@@ -587,14 +540,21 @@ impl SpectraGan {
                                     Some(reason.clone()),
                                     op_stats,
                                     spans,
-                                    opts,
+                                    opts.grad_accum,
                                 ),
                             )?;
                         }
                         last_reason = reason.clone();
                     }
                     None => {
-                        applied = Some(outcome.record(step, wall_ms, None, op_stats, spans, opts));
+                        applied = Some(outcome.record(
+                            step,
+                            wall_ms,
+                            None,
+                            op_stats,
+                            spans,
+                            opts.grad_accum,
+                        ));
                         break;
                     }
                 }
@@ -621,7 +581,7 @@ impl SpectraGan {
                     let sp = obs::span_cat("checkpoint", "train");
                     checkpoint::save(
                         dir,
-                        &self.snapshot(completed, tc, &opt_g, &opt_d, &stats, opts),
+                        &self.snapshot(completed, tc, &opt_g, &opt_d, &stats, opts.grad_accum),
                     )?;
                     drop(sp);
                 }
@@ -659,10 +619,10 @@ impl SpectraGan {
         Ok(stats)
     }
 
-    /// Phase 1 (compute): runs all `grad_accum` forward/backward
-    /// micro-rounds of one step attempt and folds them into one
-    /// [`StepGrads`] — averaged losses, averaged gradients in ascending
-    /// parameter-index order, and the post-fold gradient norms.
+    /// Runs all `grad_accum` forward/backward micro-rounds of one step
+    /// attempt and folds them into one [`StepGrads`] — averaged losses,
+    /// averaged gradients in ascending parameter-index order, and the
+    /// post-fold gradient norms.
     ///
     /// Micro-round `r` draws its minibatch from RNG lane
     /// `lane + (r << 32)`: round 0 is bit-for-bit the historical
@@ -718,24 +678,18 @@ impl SpectraGan {
         acc
     }
 
-    /// Phase 3 (apply): feeds the reduced gradients through both
-    /// optimizers, discriminator first — the historical update order.
-    fn apply_grads(&mut self, grads: &StepGrads, opt_g: &mut Adam, opt_d: &mut Adam) {
+    /// Feeds a healthy step's gradients through both optimizers,
+    /// discriminator first — the historical update order.
+    fn apply_grads(&mut self, grads: StepGrads, opt_g: &mut Adam, opt_d: &mut Adam) {
         let sp = obs::span_cat("optimizer", "train");
-        let ids: Vec<ParamId> = self.store.iter().map(|(id, _, _)| id).collect();
-        let to_param_updates = |list: &[(u32, Tensor)]| -> Vec<(ParamId, Tensor)> {
-            list.iter()
-                .map(|(p, t)| (ids[*p as usize], t.clone()))
-                .collect()
-        };
-        opt_d.apply_updates(&mut self.store, to_param_updates(&grads.d_updates));
-        opt_g.apply_updates(&mut self.store, to_param_updates(&grads.g_updates));
+        opt_d.apply_updates(&mut self.store, grads.d_updates);
+        opt_g.apply_updates(&mut self.store, grads.g_updates);
         drop(sp);
     }
 
     /// One forward/backward micro-round: minibatch assembly, losses and
-    /// gradients. Touches no optimizer state — that is the apply
-    /// phase's job, after reduction.
+    /// gradients. Touches no optimizer state — that is `apply_grads`'
+    /// job, once the folded step passes the health check.
     fn forward_backward(
         &self,
         tape: &Rc<Tape>,
@@ -896,11 +850,6 @@ impl SpectraGan {
         let boundary = self.gen_param_end;
         let (g_bound, d_bound): (Vec<_>, Vec<_>) =
             bound.into_iter().partition(|(id, _)| id.index() < boundary);
-        let wire = |list: Vec<(ParamId, Tensor)>| -> Vec<(u32, Tensor)> {
-            list.into_iter()
-                .map(|(id, t)| (id.index() as u32, t))
-                .collect()
-        };
         StepGrads {
             d_loss: dv,
             g_adv: gv,
@@ -908,8 +857,8 @@ impl SpectraGan {
             // Filled in by `compute_grads` after accumulation folds.
             grad_norm_d: 0.0,
             grad_norm_g: 0.0,
-            d_updates: wire(collect_updates(&d_bound, &grads_d)),
-            g_updates: wire(collect_updates(&g_bound, &grads_g)),
+            d_updates: collect_updates(&d_bound, &grads_d),
+            g_updates: collect_updates(&g_bound, &grads_g),
         }
     }
 }
@@ -933,7 +882,7 @@ impl StepOutcome {
         event: Option<String>,
         op_stats: Option<Vec<spectragan_tensor::OpStatEntry>>,
         spans: Option<Vec<obs::SpanStat>>,
-        opts: &TrainOptions<'_>,
+        grad_accum: usize,
     ) -> LogRecord {
         LogRecord {
             step,
@@ -944,8 +893,7 @@ impl StepOutcome {
             grad_norm_g: self.grad_norm_g,
             wall_ms,
             backend: spectragan_tensor::backend::kind().name().to_string(),
-            shards: opts.shards,
-            grad_accum: opts.grad_accum,
+            grad_accum,
             event,
             op_stats,
             spans,
@@ -955,7 +903,15 @@ impl StepOutcome {
 
 /// The divergence-guard health check: `Some(reason)` when any loss is
 /// non-finite or a global gradient norm is non-finite or above `guard`.
-fn health_reason(d: f32, g: f32, l1: f32, gnd: f32, gng: f32, guard: f32) -> Option<String> {
+fn health_reason(grads: &StepGrads, guard: f32) -> Option<String> {
+    let StepGrads {
+        d_loss: d,
+        g_adv: g,
+        l1,
+        grad_norm_d: gnd,
+        grad_norm_g: gng,
+        ..
+    } = *grads;
     if !d.is_finite() {
         return Some(format!("d_loss = {d}"));
     }

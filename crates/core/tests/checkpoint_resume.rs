@@ -3,8 +3,12 @@
 //! * **Bit-identical restarts** — training N steps uninterrupted and
 //!   training k < N steps, "dying", and resuming from the run directory
 //!   produce byte-for-byte identical weights, for every kill point and
-//!   across thread counts (the per-step `(seed, step, lane)` RNG plus
-//!   the deterministic pool make this exact, not approximate).
+//!   across thread counts and gradient-accumulation factors (the
+//!   per-step `(seed, step, lane)` RNG plus the deterministic pool make
+//!   this exact, not approximate).
+//! * **Gradient accumulation** — `grad_accum` micro-rounds fold
+//!   deterministically at any thread count, really change the update,
+//!   are checkpointed, and must match on resume.
 //! * **Corruption fallback** — a damaged newest snapshot is skipped
 //!   with a reason and the previous one resumes, still bit-identically.
 //! * **Divergence guard** — NaN weights or a tiny gradient-norm budget
@@ -66,9 +70,23 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Trains `steps` steps into `run_dir` (checkpoint every 2), starting
-/// fresh, and returns nothing — the state lives in the directory.
-fn run_until(cities: &[City], run_dir: &std::path::Path, steps: usize) {
+/// Trains a fresh model for [`STEPS`] steps with `grad_accum`
+/// micro-rounds and no run directory; returns the final weight bits.
+fn train_straight(cities: &[City], grad_accum: usize) -> Vec<u32> {
+    let mut model = SpectraGan::new(SpectraGanConfig::tiny(), 0);
+    let opts = TrainOptions {
+        grad_accum,
+        ..TrainOptions::default()
+    };
+    let stats = model.train_with(cities, &tc(), &opts).unwrap();
+    assert_eq!(stats.d_loss.len(), STEPS);
+    weight_bits(&model)
+}
+
+/// Trains `steps` steps into `run_dir` (checkpoint every 2) with
+/// `grad_accum` micro-rounds, starting fresh, and returns nothing — the
+/// state lives in the directory.
+fn run_until(cities: &[City], run_dir: &std::path::Path, steps: usize, grad_accum: usize) {
     let mut model = SpectraGan::new(SpectraGanConfig::tiny(), 0);
     let mut t = tc();
     t.steps = steps;
@@ -79,16 +97,18 @@ fn run_until(cities: &[City], run_dir: &std::path::Path, steps: usize) {
             &TrainOptions {
                 run_dir: Some(run_dir),
                 checkpoint_every: 2,
+                grad_accum,
                 ..TrainOptions::default()
             },
         )
         .unwrap();
 }
 
-/// Resumes from `run_dir`'s newest checkpoint and trains to [`STEPS`];
-/// returns the final weight bits.
-fn resume_to_end(cities: &[City], run_dir: &std::path::Path) -> Vec<u32> {
+/// Resumes from `run_dir`'s newest checkpoint with `grad_accum`
+/// micro-rounds and trains to [`STEPS`]; returns the final weight bits.
+fn resume_to_end(cities: &[City], run_dir: &std::path::Path, grad_accum: usize) -> Vec<u32> {
     let found = checkpoint::latest(run_dir).unwrap().expect("a checkpoint");
+    assert_eq!(found.checkpoint.grad_accum, grad_accum, "K is checkpointed");
     let mut model = SpectraGan::from_checkpoint(&found.checkpoint).unwrap();
     model
         .train_with(
@@ -98,6 +118,7 @@ fn resume_to_end(cities: &[City], run_dir: &std::path::Path) -> Vec<u32> {
                 run_dir: Some(run_dir),
                 checkpoint_every: 2,
                 resume_from: Some(&found.checkpoint),
+                grad_accum,
                 ..TrainOptions::default()
             },
         )
@@ -110,27 +131,87 @@ fn resume_is_bit_identical_for_every_kill_point_and_thread_count() {
     let cities = [tiny_city(3)];
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
 
-    pool::set_threads(Some(1));
-    let mut reference = SpectraGan::new(SpectraGanConfig::tiny(), 0);
-    let ref_stats = reference.train_with(&cities, &tc(), &TrainOptions::default());
-    let reference = weight_bits(&reference);
-    assert_eq!(ref_stats.unwrap().d_loss.len(), STEPS);
+    for grad_accum in [1, 2] {
+        pool::set_threads(Some(1));
+        let reference = train_straight(&cities, grad_accum);
 
-    // Kill after k steps (k = 1 lands before the first periodic
-    // checkpoint would be due; odd k resumes from an earlier snapshot).
-    for k in [1, 2, 3, 5] {
-        for threads in [1, 4] {
-            pool::set_threads(Some(threads));
-            let dir = tmp_dir(&format!("kill{k}_t{threads}"));
-            run_until(&cities, &dir, k);
-            let resumed = resume_to_end(&cities, &dir);
-            pool::set_threads(None);
-            assert_eq!(
-                resumed, reference,
-                "resume after k={k} at {threads} threads is not bit-identical"
-            );
+        // Kill after k steps (k = 1 lands before the first periodic
+        // checkpoint would be due; odd k resumes from an earlier
+        // snapshot).
+        for k in [1, 2, 3, 5] {
+            for threads in [1, 4] {
+                pool::set_threads(Some(threads));
+                let dir = tmp_dir(&format!("kill{k}_t{threads}_k{grad_accum}"));
+                run_until(&cities, &dir, k, grad_accum);
+                let resumed = resume_to_end(&cities, &dir, grad_accum);
+                pool::set_threads(None);
+                assert_eq!(
+                    resumed, reference,
+                    "resume after k={k} at {threads} threads with grad_accum={grad_accum} is \
+                     not bit-identical"
+                );
+            }
         }
     }
+}
+
+#[test]
+fn grad_accum_is_thread_invariant_and_changes_the_update() {
+    let cities = [tiny_city(3), tiny_city(8)];
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    pool::set_threads(Some(1));
+    let k2_t1 = train_straight(&cities, 2);
+    let k1 = train_straight(&cities, 1);
+    pool::set_threads(Some(4));
+    let k2_t4 = train_straight(&cities, 2);
+    pool::set_threads(None);
+    assert_eq!(k2_t1, k2_t4, "grad_accum=2 differs between 1 and 4 threads");
+    assert_ne!(
+        k2_t1, k1,
+        "grad_accum=2 must actually change the update (different minibatch average)"
+    );
+}
+
+#[test]
+fn resume_with_different_grad_accum_is_refused() {
+    let cities = [tiny_city(3)];
+    let dir = tmp_dir("accum_refuse");
+    run_until(&cities, &dir, 2, 2);
+    let found = checkpoint::latest(&dir).unwrap().unwrap();
+    assert_eq!(found.checkpoint.grad_accum, 2);
+    let mut model = SpectraGan::from_checkpoint(&found.checkpoint).unwrap();
+    let err = model
+        .train_with(
+            &cities,
+            &tc(),
+            &TrainOptions {
+                resume_from: Some(&found.checkpoint),
+                grad_accum: 1,
+                ..TrainOptions::default()
+            },
+        )
+        .expect_err("must refuse");
+    assert!(matches!(err, CoreError::Checkpoint(_)), "{err}");
+    assert!(err.to_string().contains("grad_accum"), "{err}");
+}
+
+#[test]
+fn zero_grad_accum_is_a_typed_error() {
+    let cities = [tiny_city(3)];
+    let mut model = SpectraGan::new(SpectraGanConfig::tiny(), 0);
+    let before = weight_bits(&model);
+    let err = model
+        .train_with(
+            &cities,
+            &tc(),
+            &TrainOptions {
+                grad_accum: 0,
+                ..TrainOptions::default()
+            },
+        )
+        .expect_err("grad_accum 0 must be refused");
+    assert!(matches!(err, CoreError::InvalidOptions(_)), "{err}");
+    assert_eq!(weight_bits(&model), before, "no step may run");
 }
 
 #[test]
@@ -138,17 +219,12 @@ fn corrupt_newest_snapshot_falls_back_and_stays_bit_identical() {
     let cities = [tiny_city(3)];
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     pool::set_threads(Some(1));
-
-    let mut reference = SpectraGan::new(SpectraGanConfig::tiny(), 0);
-    reference
-        .train_with(&cities, &tc(), &TrainOptions::default())
-        .unwrap();
-    let reference = weight_bits(&reference);
+    let reference = train_straight(&cities, 1);
 
     // 5 steps with checkpoint_every = 2 leaves snapshots {4, 5}
     // (RETAIN = 2). Damage the newest; resume must use step 4.
     let dir = tmp_dir("corrupt");
-    run_until(&cities, &dir, 5);
+    run_until(&cities, &dir, 5, 1);
     let newest = dir.join(checkpoint::checkpoint_file(5));
     let mut bytes = std::fs::read(&newest).unwrap();
     let mid = bytes.len() / 2;
@@ -163,7 +239,7 @@ fn corrupt_newest_snapshot_falls_back_and_stays_bit_identical() {
     assert_eq!(found.skipped.len(), 1);
     assert!(found.skipped[0].0.ends_with("ckpt_00000005.ckpt"));
 
-    let resumed = resume_to_end(&cities, &dir);
+    let resumed = resume_to_end(&cities, &dir, 1);
     pool::set_threads(None);
     assert_eq!(resumed, reference, "fallback resume is not bit-identical");
 }
@@ -172,7 +248,7 @@ fn corrupt_newest_snapshot_falls_back_and_stays_bit_identical() {
 fn nan_weights_trip_the_divergence_guard() {
     let cities = [tiny_city(3)];
     let dir = tmp_dir("nan");
-    run_until(&cities, &dir, 2);
+    run_until(&cities, &dir, 2, 1);
 
     let mut found = checkpoint::latest(&dir).unwrap().unwrap();
     let poison_id = found.checkpoint.store.iter().next().unwrap().0;
@@ -235,7 +311,7 @@ fn tiny_gradient_budget_diverges_and_logs_events() {
 fn healthy_run_logs_every_step_without_events() {
     let cities = [tiny_city(3)];
     let dir = tmp_dir("healthy");
-    run_until(&cities, &dir, 3);
+    run_until(&cities, &dir, 3, 1);
     let log = checkpoint::read_log(&dir).unwrap();
     assert_eq!(log.len(), 3);
     assert!(log.iter().all(|r| r.event.is_none()));
@@ -246,7 +322,7 @@ fn healthy_run_logs_every_step_without_events() {
     assert!(log.iter().all(|r| r.d_loss.is_finite() && r.wall_ms >= 0.0));
     // Resuming truncates the log past the resume point and replays —
     // no duplicate step records afterwards.
-    resume_to_end(&cities, &dir);
+    resume_to_end(&cities, &dir, 1);
     let log = checkpoint::read_log(&dir).unwrap();
     assert_eq!(log.iter().filter(|r| r.step == 2).count(), 1);
     assert_eq!(log.len(), STEPS);
@@ -276,7 +352,7 @@ fn bad_training_inputs_are_typed_errors() {
 fn resume_rejects_mismatched_configuration() {
     let cities = [tiny_city(3)];
     let dir = tmp_dir("mismatch");
-    run_until(&cities, &dir, 2);
+    run_until(&cities, &dir, 2, 1);
     let found = checkpoint::latest(&dir).unwrap().unwrap();
     let mut model = SpectraGan::from_checkpoint(&found.checkpoint).unwrap();
     let mut other_seed = tc();

@@ -156,9 +156,10 @@ impl Adam {
     /// (ascending-index) order, as [`collect_updates`] produces them —
     /// clips, and applies the Adam rule. `step` is exactly
     /// `apply_updates(store, collect_updates(bound, grads))`, so a
-    /// caller that reduces gradients elsewhere (the sharded trainer's
-    /// reduce phase) and feeds the identical update list through here
-    /// updates the store bit-identically to the fused path.
+    /// caller that folds gradients itself (the trainer's
+    /// gradient-accumulation rounds) and feeds the identical update
+    /// list through here updates the store bit-identically to the fused
+    /// path.
     pub fn apply_updates(&mut self, store: &mut ParamStore, mut updates: Vec<(ParamId, Tensor)>) {
         apply_clip(&mut updates, self.clip_norm);
         for (id, g) in updates {
@@ -410,8 +411,8 @@ mod tests {
     }
 
     /// `step` and `collect_updates` → `apply_updates` are the same
-    /// computation, bit-for-bit — the contract the sharded trainer's
-    /// split compute/apply phases rely on.
+    /// computation, bit-for-bit — the contract the trainer's split
+    /// compute/apply steps rely on.
     #[test]
     fn split_collect_apply_matches_fused_step() {
         let run = |split: bool| -> Vec<u32> {

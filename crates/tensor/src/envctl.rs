@@ -1,11 +1,10 @@
 //! Shared environment-variable control knobs.
 //!
-//! Three process-wide tuning knobs follow the same resolution contract:
-//! `SPECTRAGAN_THREADS` ([`crate::pool::threads`]), `SPECTRAGAN_BACKEND`
-//! ([`crate::backend::kind`]) and `SPECTRAGAN_SHARDS` ([`shards`]). Each
-//! used to hand-roll the identical atomic-override + cached-env-parse
-//! dance; this module is the single implementation all three route
-//! through.
+//! Two process-wide tuning knobs follow the same resolution contract:
+//! `SPECTRAGAN_THREADS` ([`crate::pool::threads`]) and
+//! `SPECTRAGAN_BACKEND` ([`crate::backend::kind`]). Rather than each
+//! hand-rolling the atomic-override + cached-env-parse dance, both
+//! route through this module.
 //!
 //! The contract, in priority order:
 //!
@@ -91,32 +90,11 @@ impl EnvCtl {
     }
 }
 
-/// Parses a positive count (`n >= 1`), the shape shared by
-/// `SPECTRAGAN_THREADS` and `SPECTRAGAN_SHARDS`. Zero, negative or
-/// malformed values are rejected (→ fall through to the default).
+/// Parses a positive count (`n >= 1`), the shape of
+/// `SPECTRAGAN_THREADS`. Zero, negative or malformed values are
+/// rejected (→ fall through to the default).
 pub fn parse_count(s: &str) -> Option<usize> {
     s.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-/// `SPECTRAGAN_SHARDS` — how many worker shards `spectragan train`
-/// uses when the `--shards` flag is absent.
-static SHARDS: EnvCtl = EnvCtl::new("SPECTRAGAN_SHARDS");
-
-/// Overrides the shard count for subsequent queries. `Some(n)` forces
-/// `n` shards (`n >= 1`); `None` restores the environment/default
-/// resolution. Mirrors [`crate::pool::set_threads`].
-pub fn set_shards(n: Option<usize>) {
-    if let Some(n) = n {
-        assert!(n >= 1, "shard count must be at least 1");
-    }
-    SHARDS.set(n);
-}
-
-/// The shard count sharded training will use right now: the
-/// [`set_shards`] override, else `SPECTRAGAN_SHARDS`, else 1
-/// (single-process training).
-pub fn shards() -> usize {
-    SHARDS.get(parse_count, || 1)
 }
 
 #[cfg(test)]
@@ -174,22 +152,5 @@ mod tests {
         assert_eq!(parse_count("0"), None);
         assert_eq!(parse_count("-1"), None);
         assert_eq!(parse_count("many"), None);
-    }
-
-    #[test]
-    fn shards_defaults_to_one_and_obeys_override() {
-        let _g = LOCK.lock().unwrap();
-        if std::env::var("SPECTRAGAN_SHARDS").is_err() {
-            assert_eq!(shards(), 1);
-        }
-        set_shards(Some(4));
-        assert_eq!(shards(), 4);
-        set_shards(None);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count must be at least 1")]
-    fn zero_shards_rejected() {
-        set_shards(Some(0));
     }
 }
