@@ -534,8 +534,9 @@ whose gradient norm exceeds --guard-grad-norm are skipped, logged, and
 retried with a re-rolled RNG lane (at most --guard-max-retries times).
 --op-stats adds a per-op instrumentation table (call counts, wall time,
 buffer-pool traffic) to every train_log.jsonl record. --grad-accum K
-averages K minibatch gradients per optimizer step (K is checkpointed
-and must match on resume).
+averages K minibatch gradients per optimizer step; the K rounds run
+concurrently on the thread pool with the same result at any thread
+count (K is checkpointed and must match on resume).
 
 Generation streams patch chunks through a bounded in-flight window, so
 peak memory is independent of city size and patch overlap; --gen-batch

@@ -43,9 +43,8 @@ use spectragan_geo::io::atomic_write;
 use spectragan_geo::{City, PatchLayout, PatchSpec};
 use spectragan_nn::{collect_updates, Adam, Binding, ParamId, ParamStore, Tape, Tensor};
 use spectragan_obs as obs;
-use spectragan_tensor::stats;
+use spectragan_tensor::{arena, pool, stats};
 use std::path::Path;
-use std::rc::Rc;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -121,8 +120,10 @@ pub struct TrainOptions<'a> {
     pub metrics_snapshot: Option<&'a Path>,
     /// Gradient-accumulation micro-rounds per step: gradients of
     /// `grad_accum` independent minibatches (RNG lanes derived from the
-    /// step) are averaged before one optimizer update. 1 (the default)
-    /// is the historical single-minibatch step, bit-for-bit.
+    /// step) are averaged before one optimizer update. The rounds run
+    /// concurrently on the thread pool; the result does not depend on
+    /// the thread count. 1 (the default) is the historical
+    /// single-minibatch step, bit-for-bit.
     pub grad_accum: usize,
 }
 
@@ -206,6 +207,18 @@ fn norm_of(updates: &[(ParamId, Tensor)]) -> f32 {
         .map(|&v| v * v)
         .sum::<f32>()
         .sqrt()
+}
+
+/// Frees a micro-round's gradient tensor once it is folded. A tensor
+/// allocated on a pool helper thread goes back to the allocator rather
+/// than to this thread's arena (see [`arena::release`]); one allocated
+/// here is recycled as usual.
+fn free(t: Tensor, on_caller: bool) {
+    if on_caller {
+        drop(t);
+    } else {
+        arena::release(t.into_vec());
+    }
 }
 
 /// A trainable SpectraGAN instance: parameters plus both network
@@ -483,10 +496,6 @@ impl SpectraGan {
         // Chrome-trace export needs the raw events of the whole run;
         // span stats per step only need that step's batch.
         let mut trace_events: Vec<obs::SpanEvent> = Vec::new();
-        // One tape for the whole run: resetting between steps keeps the
-        // node arena's capacity and returns every activation buffer to
-        // the pool, so steady-state steps are allocation-free.
-        let tape = Tape::new();
 
         for step in start_step..tc.steps {
             let step_start = Instant::now();
@@ -494,15 +503,8 @@ impl SpectraGan {
             let mut last_reason = String::new();
             for lane in 0..=opts.guard_max_retries {
                 let sp_step = obs::span_cat("train_step", "train");
-                let grads = self.compute_grads(
-                    &tape,
-                    &samples,
-                    tc,
-                    step as u64,
-                    lane,
-                    opts.grad_accum,
-                    cfg,
-                );
+                let grads =
+                    self.compute_grads(&samples, tc, step as u64, lane, opts.grad_accum, cfg);
                 let outcome = StepOutcome {
                     d_loss: grads.d_loss,
                     g_adv: grads.g_adv,
@@ -628,10 +630,14 @@ impl SpectraGan {
     /// `lane + (r << 32)`: round 0 is bit-for-bit the historical
     /// single-minibatch step, and the guard's retry lanes (low 32 bits)
     /// can never collide with accumulation rounds.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// The rounds run concurrently as [`pool::par_map`] tasks, each on
+    /// its own tape, and are folded here in round order, so the result
+    /// is the serial one at any thread count. A round run on a worker
+    /// thread hands back its op counters and hangs its spans under the
+    /// calling thread's step span.
     fn compute_grads(
         &self,
-        tape: &Rc<Tape>,
         samples: &[Sample],
         tc: &TrainConfig,
         step: u64,
@@ -639,16 +645,26 @@ impl SpectraGan {
         grad_accum: usize,
         cfg: SpectraGanConfig,
     ) -> StepGrads {
-        let mut acc: Option<StepGrads> = None;
-        for round in 0..grad_accum {
+        let step_span = obs::current_span();
+        let caller = std::thread::current().id();
+        let rounds = pool::par_map(grad_accum, |round| {
+            let _parent = obs::adopt_parent(step_span);
             let round_lane = lane as u64 + ((round as u64) << 32);
-            let fresh = self.forward_backward(tape, samples, tc, step, round_lane, cfg);
+            let grads = self.forward_backward(samples, tc, step, round_lane, cfg);
+            let on_caller = std::thread::current().id() == caller;
+            (grads, on_caller, stats::enabled().then(stats::take_counts))
+        });
+        let mut acc: Option<(StepGrads, bool)> = None;
+        for (fresh, on_caller, counts) in rounds {
+            if let Some(counts) = &counts {
+                stats::merge_counts(counts);
+            }
             match &mut acc {
                 // Round 0's tensors are kept untouched: with
                 // `grad_accum == 1` no accumulation arithmetic runs at
                 // all (even `+ 0.0` could flip a -0.0 bit).
-                None => acc = Some(fresh),
-                Some(a) => {
+                None => acc = Some((fresh, on_caller)),
+                Some((a, _)) => {
                     a.d_loss += fresh.d_loss;
                     a.g_adv += fresh.g_adv;
                     a.l1 += fresh.l1;
@@ -658,17 +674,21 @@ impl SpectraGan {
                     for ((_, at), (_, ft)) in a.g_updates.iter_mut().zip(&fresh.g_updates) {
                         at.axpy(1.0, ft);
                     }
+                    for (_, t) in fresh.d_updates.into_iter().chain(fresh.g_updates) {
+                        free(t, on_caller);
+                    }
                 }
             }
         }
-        let mut acc = acc.expect("grad_accum >= 1");
+        let (mut acc, acc_on_caller) = acc.expect("grad_accum >= 1");
         if grad_accum > 1 {
             let s = 1.0 / grad_accum as f32;
             acc.d_loss *= s;
             acc.g_adv *= s;
             acc.l1 *= s;
             for (_, t) in acc.d_updates.iter_mut().chain(acc.g_updates.iter_mut()) {
-                *t = t.scale(s);
+                let scaled = t.scale(s);
+                free(std::mem::replace(t, scaled), acc_on_caller);
             }
         }
         // The norms are a property of the folded update the optimizer
@@ -692,18 +712,12 @@ impl SpectraGan {
     /// job, once the folded step passes the health check.
     fn forward_backward(
         &self,
-        tape: &Rc<Tape>,
         samples: &[Sample],
         tc: &TrainConfig,
         step: u64,
         round_lane: u64,
         cfg: SpectraGanConfig,
     ) -> StepGrads {
-        // Drop the previous round's graph; buffers go back to the
-        // pool and the node arena keeps its capacity. (The collected
-        // gradient tensors returned below are deep copies and survive
-        // this reset on the next round.)
-        tape.reset_keep_capacity();
         // Instantaneous marker span naming the kernel backend this step
         // runs under, so exported traces are attributable to scalar vs.
         // simd. Dropped immediately: it must not become the parent of
@@ -751,14 +765,13 @@ impl SpectraGan {
             }
         }
         drop(sp);
-        // ---- Forward ------------------------------------------------
+        // ---- Forward: generator ------------------------------------
         let sp = obs::span_cat("forward", "train");
-        let bind = Binding::new(tape, &self.store);
+        let tape = Tape::new();
+        let bind = Binding::new(&tape, &self.store);
         let ctx_var = tape.leaf(ctx_batch.clone());
         let z_var = tape.leaf(z);
         let out = self.gen.forward(&bind, &ctx_var, &z_var);
-        let ctx_rows = self.disc.encode_rows(&bind, &ctx_var);
-        let real_series_var = tape.leaf(series_real.clone());
 
         // The time discriminator judges a random window of the
         // series (temporal patch discriminator; cfg.disc_time_window
@@ -776,38 +789,62 @@ impl SpectraGan {
             0
         };
 
-        // ---- Discriminator loss (detached fakes) -------------------
-        let fake_series_det = tape.leaf(out.series.value().as_ref().clone());
-        let real_win = real_series_var.narrow(1, w0, win);
-        let mut d_loss = self
-            .disc
-            .time_logits(&bind, &real_win, &ctx_rows)
-            .bce_with_logits(1.0)
-            .add(
-                &self
-                    .disc
-                    .time_logits(&bind, &fake_series_det.narrow(1, w0, win), &ctx_rows)
-                    .bce_with_logits(0.0),
-            );
-        if let (Some(spec_fake), Some(spec_real)) = (&out.spec, &spec_real) {
-            let real_spec_var = tape.leaf(spec_real.clone());
-            let fake_spec_det = tape.leaf(spec_fake.value().as_ref().clone());
-            d_loss = d_loss
+        // ---- Discriminator loss and gradients (detached fakes) -----
+        // Recorded on a tape of its own: the discriminator's graph and
+        // gradients are gone before the generator's adversarial pass
+        // is recorded, so the two never hold memory together.
+        let boundary = self.gen_param_end;
+        let (dv, d_updates, ctx_rows) = {
+            let tape_d = Tape::new();
+            let bind_d = Binding::new(&tape_d, &self.store);
+            let ctx_rows = self.disc.encode_rows(&bind_d, &tape_d.leaf(ctx_batch));
+            let real_win = tape_d.leaf(series_real.clone()).narrow(1, w0, win);
+            let fake_series_det = tape_d.leaf(out.series.value().as_ref().clone());
+            let mut d_loss = self
+                .disc
+                .time_logits(&bind_d, &real_win, &ctx_rows)
+                .bce_with_logits(1.0)
                 .add(
                     &self
                         .disc
-                        .spec_logits(&bind, &real_spec_var, &ctx_rows)
-                        .bce_with_logits(1.0),
-                )
-                .add(
-                    &self
-                        .disc
-                        .spec_logits(&bind, &fake_spec_det, &ctx_rows)
+                        .time_logits(&bind_d, &fake_series_det.narrow(1, w0, win), &ctx_rows)
                         .bce_with_logits(0.0),
                 );
-        }
+            if let (Some(spec_fake), Some(spec_real)) = (&out.spec, &spec_real) {
+                let real_spec_var = tape_d.leaf(spec_real.clone());
+                let fake_spec_det = tape_d.leaf(spec_fake.value().as_ref().clone());
+                d_loss = d_loss
+                    .add(
+                        &self
+                            .disc
+                            .spec_logits(&bind_d, &real_spec_var, &ctx_rows)
+                            .bce_with_logits(1.0),
+                    )
+                    .add(
+                        &self
+                            .disc
+                            .spec_logits(&bind_d, &fake_spec_det, &ctx_rows)
+                            .bce_with_logits(0.0),
+                    );
+            }
+            let dv = d_loss.value().item();
+            drop(sp);
+            let sp = obs::span_cat("backward", "train");
+            let d_bound: Vec<_> = bind_d
+                .bound()
+                .into_iter()
+                .filter(|(id, _)| id.index() >= boundary)
+                .collect();
+            let d_updates = collect_updates(&d_bound, &tape_d.backward(&d_loss));
+            drop(sp);
+            (dv, d_updates, ctx_rows.value())
+        };
 
         // ---- Generator loss ----------------------------------------
+        // The discriminators see the context encoding as a constant:
+        // the generator's gradients never flow through it.
+        let sp = obs::span_cat("forward", "train");
+        let ctx_rows = tape.leaf(ctx_rows.as_ref().clone());
         let mut g_adv = self
             .disc
             .time_logits(&bind, &out.series.narrow(1, w0, win), &ctx_rows)
@@ -835,21 +872,18 @@ impl SpectraGan {
             Some(l) => g_adv.add(&l.scale(cfg.lambda)),
             None => g_adv.clone(),
         };
-
-        let dv = d_loss.value().item();
         let gv = g_adv.value().item();
         let l1v = l1.as_ref().map(|l| l.value().item()).unwrap_or(0.0);
         drop(sp);
 
-        // ---- Gradients ----------------------------------------------
         let sp = obs::span_cat("backward", "train");
-        let grads_d = tape.backward(&d_loss);
-        let grads_g = tape.backward(&g_loss);
+        let g_bound: Vec<_> = bind
+            .bound()
+            .into_iter()
+            .filter(|(id, _)| id.index() < boundary)
+            .collect();
+        let g_updates = collect_updates(&g_bound, &tape.backward(&g_loss));
         drop(sp);
-        let bound = bind.bound();
-        let boundary = self.gen_param_end;
-        let (g_bound, d_bound): (Vec<_>, Vec<_>) =
-            bound.into_iter().partition(|(id, _)| id.index() < boundary);
         StepGrads {
             d_loss: dv,
             g_adv: gv,
@@ -857,8 +891,8 @@ impl SpectraGan {
             // Filled in by `compute_grads` after accumulation folds.
             grad_norm_d: 0.0,
             grad_norm_g: 0.0,
-            d_updates: collect_updates(&d_bound, &grads_d),
-            g_updates: collect_updates(&g_bound, &grads_g),
+            d_updates,
+            g_updates,
         }
     }
 }

@@ -144,6 +144,76 @@ fn train_weights_are_bit_identical_with_obs_on() {
     }
 }
 
+/// A `grad_accum` 4 run with op stats and spans on: at 2 threads half
+/// the rounds run on a spawned thread, yet every step's per-kind op
+/// call counts and span tree match the 1-thread run, and the rounds'
+/// phases stay under the step span.
+#[test]
+fn grad_accum_op_stats_and_spans_are_whole_at_any_thread_count() {
+    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let cities = [tiny_city(3)];
+    let run = |threads: usize| {
+        pool::set_threads(Some(threads));
+        let dir = tmp_dir(&format!("accum_t{threads}"));
+        let mut model = SpectraGan::new(SpectraGanConfig::tiny(), 0);
+        model
+            .train_with(
+                &cities,
+                &tc(),
+                &TrainOptions {
+                    run_dir: Some(&dir),
+                    op_stats: true,
+                    obs: true,
+                    grad_accum: 4,
+                    ..TrainOptions::default()
+                },
+            )
+            .unwrap();
+        pool::set_threads(None);
+        (weight_bits(&model), checkpoint::read_log(&dir).unwrap())
+    };
+    let (bits_1, log_1) = run(1);
+    let (bits_2, log_2) = run(2);
+    assert_eq!(
+        bits_1, bits_2,
+        "grad_accum=4 differs between 1 and 2 threads"
+    );
+    assert_eq!(log_1.len(), tc().steps);
+    assert_eq!(log_2.len(), tc().steps);
+    for (a, b) in log_1.iter().zip(&log_2) {
+        // Rows without calls only carry arena traffic, which does
+        // differ: a spawned thread starts with an empty arena.
+        let calls = |r: &checkpoint::LogRecord| -> Vec<(String, u64, u64)> {
+            r.op_stats
+                .as_ref()
+                .expect("op-stats records must have a table")
+                .iter()
+                .filter(|e| e.fwd_calls + e.bwd_calls > 0)
+                .map(|e| (e.op.clone(), e.fwd_calls, e.bwd_calls))
+                .collect()
+        };
+        assert_eq!(calls(a), calls(b), "step {} op call counts", a.step);
+        let tree = |r: &checkpoint::LogRecord| -> Vec<(String, u64)> {
+            r.spans
+                .as_ref()
+                .expect("obs-on records must have spans")
+                .iter()
+                .map(|s| (s.path.clone(), s.calls))
+                .collect()
+        };
+        assert_eq!(tree(a), tree(b), "step {} span tree", a.step);
+        for phase in ["minibatch", "forward", "backward"] {
+            let path = format!("train_step/{phase}");
+            let calls = tree(b)
+                .iter()
+                .find(|(p, _)| *p == path)
+                .map(|(_, c)| *c)
+                .unwrap_or(0);
+            assert!(calls >= 4, "step {}: {path} ran {calls} times", b.step);
+        }
+    }
+}
+
 /// An uninstrumented run writes log records without span data — the
 /// field stays absent rather than empty, so the log schema is
 /// backward-compatible.

@@ -33,7 +33,9 @@ pub use metrics::{
     counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram,
     HistogramSnapshot, MetricKind, MetricSnapshot, HIST_BUCKETS,
 };
-pub use span::{drain_events, span, span_cat, Span, SpanEvent};
+pub use span::{
+    adopt_parent, current_span, drain_events, span, span_cat, Adopted, Span, SpanEvent,
+};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

@@ -2,6 +2,8 @@
 //!
 //! A [`Span`] opened while another span on the same thread is live
 //! becomes its child (parent links come from a thread-local stack).
+//! Work handed to another thread stays under the span that handed it
+//! out through [`current_span`] and [`adopt_parent`].
 //! Completed spans are pushed to a global sink; [`drain_events`]
 //! takes the sink. Spans are deliberately coarse-grained (pipeline
 //! sections, not per-tensor ops — those belong to
@@ -127,14 +129,54 @@ impl Drop for Span {
         };
         // Spans normally drop in LIFO order; truncating at our id
         // keeps the stack consistent even if a child was leaked.
-        let _ = TLS.try_with(|t| {
-            let mut t = t.borrow_mut();
-            if let Some(pos) = t.stack.iter().rposition(|&x| x == self.id) {
-                t.stack.truncate(pos);
-            }
-        });
+        pop_to(self.id);
         SINK.lock().unwrap_or_else(|e| e.into_inner()).push(ev);
     }
+}
+
+/// Id of the innermost live span on this thread, or 0 when there is
+/// none (or the layer is disabled).
+pub fn current_span() -> u64 {
+    if !enabled() {
+        return 0;
+    }
+    TLS.try_with(|t| t.borrow().stack.last().copied().unwrap_or(0))
+        .unwrap_or(0)
+}
+
+/// Guard returned by [`adopt_parent`].
+pub struct Adopted {
+    parent: u64,
+}
+
+impl Drop for Adopted {
+    fn drop(&mut self) {
+        pop_to(self.parent);
+    }
+}
+
+/// Removes the innermost occurrence of `id` from this thread's span
+/// stack, with everything above it.
+fn pop_to(id: u64) {
+    let _ = TLS.try_with(|t| {
+        let mut t = t.borrow_mut();
+        if let Some(pos) = t.stack.iter().rposition(|&x| x == id) {
+            t.stack.truncate(pos);
+        }
+    });
+}
+
+/// Makes `parent` — a span live on another thread, from
+/// [`current_span`] there — the enclosing span of spans opened on this
+/// thread until the guard drops, so work handed to a worker thread
+/// stays under the span that handed it out. `None` (a no-op) when the
+/// layer is disabled or `parent` is 0.
+pub fn adopt_parent(parent: u64) -> Option<Adopted> {
+    if parent == 0 || !enabled() {
+        return None;
+    }
+    TLS.try_with(|t| t.borrow_mut().stack.push(parent)).ok()?;
+    Some(Adopted { parent })
 }
 
 /// Takes every event recorded so far. Completion is synchronous with
@@ -188,6 +230,31 @@ mod tests {
         assert_eq!(inner.cat, "test");
         assert_eq!(inner.tid, outer.tid);
         assert!(inner.start_ns >= outer.start_ns);
+    }
+
+    #[test]
+    fn adopted_parent_links_spans_across_threads() {
+        let _l = test_lock();
+        set_enabled(true);
+        drain_events();
+        let root = span("root");
+        let parent = current_span();
+        assert_eq!(parent, root.as_ref().unwrap().id());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _adopted = adopt_parent(parent);
+                drop(span("child"));
+            });
+        });
+        drop(span("after"));
+        drop(root);
+        let events = drain_events();
+        set_enabled(false);
+        let by_name = |n: &str| events.iter().find(|e| e.name == n).unwrap();
+        assert_eq!(by_name("child").parent, parent);
+        assert_ne!(by_name("child").tid, by_name("root").tid);
+        assert_eq!(by_name("after").parent, parent);
+        assert!(adopt_parent(0).is_none());
     }
 
     #[test]

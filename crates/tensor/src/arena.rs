@@ -13,13 +13,21 @@
 //!
 //! * The pool is **thread-local**: a buffer is only ever reused on the
 //!   thread that dropped it, so recycling needs no locks and cannot
-//!   change cross-thread behaviour. Worker threads of
-//!   [`crate::pool`] get their own (short-lived) arenas.
+//!   change cross-thread behaviour. A [`crate::pool`] call runs one
+//!   share of its tasks on the calling thread, which keeps using its
+//!   warm arena. Each helper thread the call spawns adopts a pool an
+//!   earlier helper handed off ([`hand_off`], [`adopt`]) and hands its
+//!   own off before it exits, so helpers of successive calls reuse the
+//!   same buffers.
 //! * Buffers are bucketed by exact capacity and handed out cleared
 //!   (`len == 0`), so reuse can never leak stale values — every element
 //!   the new owner reads was written by the new owner.
 //! * The per-thread pool is capped ([`MAX_POOLED_BYTES`]); beyond the
 //!   cap, recycled buffers fall through to the allocator as before.
+//! * A buffer is pooled by the thread that drops it. Results a pool
+//!   helper returns to the caller are therefore freed with [`release`]
+//!   once consumed, not dropped: the caller's pool would otherwise
+//!   gain a set with every call (and the helpers' pools lose one).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -196,6 +204,14 @@ pub fn clone_buf(src: &[f32]) -> Vec<f32> {
     v
 }
 
+/// Frees a buffer to the allocator without pooling it. For buffers a
+/// [`crate::pool`] helper thread allocated and handed to this thread:
+/// dropping them here would park them in this thread's pool, which
+/// only keeps growing if every call hands over a fresh set.
+pub fn release(buf: Vec<f32>) {
+    note_dead(buf.capacity() * 4);
+}
+
 /// Returns a buffer to the pool (called by `Tensor`'s `Drop`). Buffers
 /// with zero capacity, or arriving when the pool is at its byte cap,
 /// fall through to the allocator.
@@ -235,6 +251,60 @@ pub fn pooled_bytes() -> usize {
     ARENA.try_with(|a| a.borrow().pooled_bytes).unwrap_or(0)
 }
 
+/// Every buffer parked in one thread's pool, moved out by [`hand_off`]
+/// for another thread to [`adopt`].
+pub struct Parked {
+    buckets: HashMap<usize, Vec<Vec<f32>>>,
+    bytes: usize,
+}
+
+impl Parked {
+    /// Whether no buffer is parked.
+    pub fn is_empty(&self) -> bool {
+        self.bytes == 0
+    }
+}
+
+/// Moves every buffer out of this thread's pool, for a thread that will
+/// need the same shapes (the [`crate::pool`] helpers of the next call).
+pub fn hand_off() -> Parked {
+    ARENA
+        .try_with(|a| {
+            let mut a = a.borrow_mut();
+            Parked {
+                buckets: std::mem::take(&mut a.buckets),
+                bytes: std::mem::take(&mut a.pooled_bytes),
+            }
+        })
+        .unwrap_or(Parked {
+            buckets: HashMap::new(),
+            bytes: 0,
+        })
+}
+
+/// Adds buffers handed off by another thread to this thread's pool, up
+/// to the pool's cap; the rest go back to the allocator. An empty pool
+/// (a freshly spawned thread's) takes the buffers over whole.
+pub fn adopt(parked: Parked) {
+    let _ = ARENA.try_with(|a| {
+        let mut a = a.borrow_mut();
+        if a.pooled_bytes == 0 && parked.bytes <= MAX_POOLED_BYTES {
+            a.buckets = parked.buckets;
+            a.pooled_bytes = parked.bytes;
+            return;
+        }
+        for (cap, bufs) in parked.buckets {
+            for buf in bufs {
+                if a.pooled_bytes + cap * 4 > MAX_POOLED_BYTES {
+                    return;
+                }
+                a.pooled_bytes += cap * 4;
+                a.buckets.entry(cap).or_default().push(buf);
+            }
+        }
+    });
+}
+
 /// Drops every pooled buffer on this thread (tests / memory pressure).
 pub fn clear() {
     let _ = ARENA.try_with(|a| {
@@ -243,6 +313,11 @@ pub fn clear() {
         a.pooled_bytes = 0;
     });
 }
+
+/// Serializes unit tests that measure the process-wide high-water
+/// mark, so one test's large buffers do not show up in another's peak.
+#[cfg(test)]
+pub(crate) static HIGH_WATER_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
@@ -283,6 +358,24 @@ mod tests {
         assert_eq!(stats_take().recycled, 0);
     }
 
+    #[test]
+    fn handed_off_buffers_are_reused_by_the_adopting_thread() {
+        clear();
+        recycle(take_zeroed(333));
+        let parked = hand_off();
+        assert!(!parked.is_empty());
+        assert_eq!(pooled_bytes(), 0, "hand_off must empty this pool");
+        let reused = std::thread::spawn(move || {
+            adopt(parked);
+            stats_take();
+            recycle(take(333));
+            stats_take().reused
+        })
+        .join()
+        .unwrap();
+        assert_eq!(reused, 1);
+    }
+
     /// The global live/high-water counters see a large allocation and
     /// its release. Other tests allocate concurrently, so the
     /// assertions are lower bounds around a buffer far bigger than any
@@ -290,6 +383,9 @@ mod tests {
     #[test]
     fn high_water_tracks_large_allocations() {
         const BIG: usize = 1 << 22; // 16 MiB of f32s
+        let _g = HIGH_WATER_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         let before = reset_high_water();
         let buf = take_zeroed(BIG);
         assert!(

@@ -14,6 +14,23 @@
 //! inputs need no `'static` gymnastics and panics propagate to the
 //! caller.
 //!
+//! Two rules keep the number of threads running at once at the worker
+//! count:
+//!
+//! * **Caller share.** [`par_map`] and [`par_chunks_mut`] claim tasks
+//!   on the calling thread too and spawn only `workers - 1` threads.
+//!   The caller keeps its warm [`crate::arena`] and its thread-local
+//!   instrumentation, and one thread fewer is spawned per call.
+//!   [`par_fold_ordered`] is the exception: its caller folds, so it
+//!   spawns `workers` producers. Every call joins the threads it
+//!   spawned before it returns; each of them hands its arena's buffers
+//!   on to a helper of a later call.
+//! * **Nesting.** A parallel call made from inside a pool task runs
+//!   inline, as a plain serial loop on that task's thread: a conv
+//!   inside a generation chunk or a training round does not spawn
+//!   threads of its own. Results are unchanged: they never depend on
+//!   the worker count.
+//!
 //! The worker count comes from, in priority order:
 //! 1. [`set_threads`] (programmatic override, used by tests to compare
 //!    thread counts in-process),
@@ -23,7 +40,9 @@
 //! At one thread every routine degrades to a plain serial loop on the
 //! calling thread — no pool, no atomics, no unsafe.
 
+use crate::arena;
 use spectragan_obs as obs;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::Instant;
@@ -84,6 +103,81 @@ pub fn threads() -> usize {
     })
 }
 
+thread_local! {
+    /// Set while this thread runs pool tasks; parallel calls made then
+    /// run inline.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks this thread as running pool tasks until dropped.
+struct InTask(bool);
+
+impl InTask {
+    fn enter() -> Self {
+        InTask(IN_TASK.with(|t| t.replace(true)))
+    }
+}
+
+impl Drop for InTask {
+    fn drop(&mut self) {
+        IN_TASK.with(|t| t.set(self.0));
+    }
+}
+
+/// Worker count for a call of `n_tasks` tasks on this thread: 1 inside
+/// a pool task, else [`threads`], never more than there are tasks.
+fn workers_for(n_tasks: usize) -> usize {
+    if IN_TASK.with(Cell::get) {
+        1
+    } else {
+        threads().min(n_tasks)
+    }
+}
+
+/// Buffer pools of finished helper threads, each waiting for a helper
+/// of a later call to adopt it.
+static SPARE_POOLS: Mutex<Vec<arena::Parked>> = Mutex::new(Vec::new());
+
+/// Runs `help` on `helpers` spawned threads while `lead` runs on the
+/// calling thread, and returns `lead`'s result once every helper thread
+/// has exited.
+///
+/// A helper starts from the [`crate::arena`] pool a finished helper
+/// handed off, and hands its own pool off when done. A helper thread
+/// lives for one call, but its buffers outlive it: the next call's
+/// helpers reuse them instead of allocating a warm-up's worth afresh
+/// and freeing it at exit. (Freeing them left the allocator's
+/// per-thread heaps to grow whenever a new helper was given a fresh
+/// one.) Each helper is joined explicitly, so by the time the call
+/// returns its thread has exited. A helper's panic is re-raised on the
+/// caller.
+fn with_helpers<R>(helpers: usize, help: impl Fn() + Sync, lead: impl FnOnce() -> R) -> R {
+    let helper = || {
+        let spare = SPARE_POOLS.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        if let Some(parked) = spare {
+            arena::adopt(parked);
+        }
+        help();
+        let parked = arena::hand_off();
+        if !parked.is_empty() {
+            SPARE_POOLS
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(parked);
+        }
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(helper)).collect();
+        let out = lead();
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        out
+    })
+}
+
 /// Runs `f(0..n_tasks)` across the pool and returns the results in
 /// task-index order, exactly as the serial `(0..n_tasks).map(f)` would.
 ///
@@ -97,23 +191,23 @@ where
     if obs::enabled() {
         metrics().tasks.inc(n_tasks as u64);
     }
-    let workers = threads().min(n_tasks);
+    let workers = workers_for(n_tasks);
     if workers <= 1 {
         return (0..n_tasks).map(f).collect();
     }
     let slots: Vec<OnceLock<R>> = (0..n_tasks).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_tasks {
-                    break;
-                }
-                let _ = slots[i].set(f(i));
-            });
+    let work = || {
+        let _task = InTask::enter();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n_tasks {
+                break;
+            }
+            let _ = slots[i].set(f(i));
         }
-    });
+    };
+    with_helpers(workers - 1, work, work);
     slots
         .into_iter()
         .map(|slot| {
@@ -144,7 +238,7 @@ where
     if obs::enabled() {
         metrics().tasks.inc(n_chunks as u64);
     }
-    let workers = threads().min(n_chunks);
+    let workers = workers_for(n_chunks);
     if workers <= 1 {
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(i, chunk);
@@ -153,28 +247,24 @@ where
     }
     let base = SendPtr(data.as_mut_ptr());
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let base = &base;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_chunks {
-                        break;
-                    }
-                    // SAFETY: tile i covers i*chunk_len..(i+1)*chunk_len,
-                    // within bounds by construction; the atomic counter
-                    // hands each index to exactly one worker, so tiles
-                    // never alias, and the scope keeps `data` borrowed
-                    // for the whole run.
-                    let tile = unsafe {
-                        std::slice::from_raw_parts_mut(base.0.add(i * chunk_len), chunk_len)
-                    };
-                    f(i, tile);
-                }
-            });
+    let work = || {
+        let _task = InTask::enter();
+        let base = &base;
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n_chunks {
+                break;
+            }
+            // SAFETY: tile i covers i*chunk_len..(i+1)*chunk_len,
+            // within bounds by construction; the atomic counter hands
+            // each index to exactly one worker, so tiles never alias,
+            // and the scope keeps `data` borrowed for the whole run.
+            let tile =
+                unsafe { std::slice::from_raw_parts_mut(base.0.add(i * chunk_len), chunk_len) };
+            f(i, tile);
         }
-    });
+    };
+    with_helpers(workers - 1, work, work);
 }
 
 /// A raw pointer blessed for cross-thread use; sound because
@@ -263,7 +353,7 @@ where
     if obs::enabled() {
         metrics().tasks.inc(n_tasks as u64);
     }
-    let workers = threads().min(n_tasks).min(window);
+    let workers = workers_for(n_tasks.min(window));
     if workers <= 1 {
         for i in 0..n_tasks {
             fold(i, produce(i));
@@ -280,9 +370,11 @@ where
     let space = Condvar::new();
     let ready = Condvar::new();
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
+    with_helpers(
+        workers,
+        || {
+            let _task = InTask::enter();
+            loop {
                 // Claim the next index once it is inside the window.
                 let t_claim = obs::enabled().then(Instant::now);
                 let i = {
@@ -326,46 +418,47 @@ where
                     s.slots[i % window] = Some(out);
                 }
                 ready.notify_one();
-            });
-        }
-
-        // Consumer: the calling thread folds in index order.
-        for i in 0..n_tasks {
-            let t_wait = obs::enabled().then(Instant::now);
-            let item = {
-                let mut s = state.lock().unwrap();
-                loop {
-                    if s.poisoned {
-                        break None;
-                    }
-                    if let Some(v) = s.slots[i % window].take() {
-                        s.folded = i + 1;
-                        break Some(v);
-                    }
-                    s = ready.wait(s).unwrap();
-                }
-            };
-            if let Some(t0) = t_wait {
-                metrics()
-                    .fold_wait_ns
-                    .record(t0.elapsed().as_nanos() as u64);
             }
-            let Some(item) = item else {
-                // A worker panicked; exit so the scope joins and
-                // propagates its panic.
-                break;
-            };
-            space.notify_all();
-            let mut guard = PoisonGuard {
-                state: &state,
-                space: &space,
-                ready: &ready,
-                armed: true,
-            };
-            fold(i, item);
-            guard.armed = false;
-        }
-    });
+        },
+        || {
+            // Consumer: the calling thread folds in index order.
+            for i in 0..n_tasks {
+                let t_wait = obs::enabled().then(Instant::now);
+                let item = {
+                    let mut s = state.lock().unwrap();
+                    loop {
+                        if s.poisoned {
+                            break None;
+                        }
+                        if let Some(v) = s.slots[i % window].take() {
+                            s.folded = i + 1;
+                            break Some(v);
+                        }
+                        s = ready.wait(s).unwrap();
+                    }
+                };
+                if let Some(t0) = t_wait {
+                    metrics()
+                        .fold_wait_ns
+                        .record(t0.elapsed().as_nanos() as u64);
+                }
+                let Some(item) = item else {
+                    // A worker panicked; exit so `with_helpers` joins
+                    // it and re-raises its panic.
+                    break;
+                };
+                space.notify_all();
+                let mut guard = PoisonGuard {
+                    state: &state,
+                    space: &space,
+                    ready: &ready,
+                    armed: true,
+                };
+                fold(i, item);
+                guard.armed = false;
+            }
+        },
+    );
 }
 
 #[cfg(test)]
@@ -385,6 +478,113 @@ mod tests {
                 got,
                 (0..17).map(|i| i * i).collect::<Vec<_>>(),
                 "threads={t}"
+            );
+        }
+        set_threads(None);
+    }
+
+    /// The calling thread claims a share of the tasks, and results
+    /// still come back in index order.
+    #[test]
+    fn par_map_caller_share_keeps_index_order() {
+        let _g = LOCK.lock().unwrap();
+        let caller = std::thread::current().id();
+        for t in [2, 3] {
+            set_threads(Some(t));
+            let got = par_map(48, |i| {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+                (i, std::thread::current().id())
+            });
+            assert_eq!(
+                got.iter().map(|(i, _)| *i).collect::<Vec<_>>(),
+                (0..48).collect::<Vec<_>>(),
+                "threads={t}"
+            );
+            assert!(
+                got.iter().any(|(_, id)| *id == caller),
+                "threads={t}: the caller ran no task"
+            );
+        }
+        set_threads(None);
+    }
+
+    /// Counts the threads inside tracked closures at once. A thread
+    /// that waits for a nested call's helpers still counts, so the
+    /// peak over-reports rather than misses.
+    #[derive(Default)]
+    struct Busy(
+        Mutex<(
+            std::collections::HashMap<std::thread::ThreadId, usize>,
+            usize,
+        )>,
+    );
+
+    impl Busy {
+        fn track<R>(&self, body: impl FnOnce() -> R) -> R {
+            let id = std::thread::current().id();
+            {
+                let mut g = self.0.lock().unwrap();
+                *g.0.entry(id).or_default() += 1;
+                g.1 = g.1.max(g.0.len());
+            }
+            let out = body();
+            let mut g = self.0.lock().unwrap();
+            let depth = g.0.get_mut(&id).unwrap();
+            *depth -= 1;
+            if *depth == 0 {
+                g.0.remove(&id);
+            }
+            out
+        }
+
+        fn peak(&self) -> usize {
+            self.0.lock().unwrap().1
+        }
+    }
+
+    /// Parallel calls nested inside a `par_map` task give the serial
+    /// result, and no more than `threads()` threads run at once.
+    #[test]
+    fn nested_calls_are_bit_identical_and_stay_within_the_thread_count() {
+        let _g = LOCK.lock().unwrap();
+        let busy = Busy::default();
+        let nap = || std::thread::sleep(std::time::Duration::from_micros(300));
+        let task = |i: usize| -> (Vec<f32>, Vec<f32>) {
+            busy.track(|| {
+                let mapped = par_map(9, |j| {
+                    busy.track(|| {
+                        nap();
+                        ((i * 31 + j) as f32).sqrt()
+                    })
+                });
+                let mut tiles = vec![0.0f32; 40];
+                par_chunks_mut(&mut tiles, 4, |j, c| {
+                    busy.track(|| {
+                        nap();
+                        for (k, v) in c.iter_mut().enumerate() {
+                            *v = ((i + j) as f32 * 0.37 + k as f32).sin();
+                        }
+                    })
+                });
+                (mapped, tiles)
+            })
+        };
+        let bits = |r: &[(Vec<f32>, Vec<f32>)]| -> Vec<u32> {
+            r.iter()
+                .flat_map(|(a, b)| a.iter().chain(b))
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        set_threads(Some(1));
+        let serial = bits(&par_map(7, task));
+        for t in [2, 3, 4] {
+            set_threads(Some(t));
+            *busy.0.lock().unwrap() = Default::default();
+            assert_eq!(bits(&par_map(7, task)), serial, "threads={t}");
+            assert!(
+                busy.peak() <= t,
+                "threads={t}: {} threads ran at once",
+                busy.peak()
             );
         }
         set_threads(None);

@@ -9,10 +9,12 @@
 //! the trainer calls it once per step and appends the table to
 //! `train_log.jsonl`.
 //!
-//! Counters are thread-local; the training loop builds its graphs on
-//! one thread, so its table is complete. Kernel-internal worker
-//! threads ([`crate::pool`]) never allocate tensors, so nothing is
-//! lost to them.
+//! Counters are thread-local. Work that builds graphs on another
+//! thread (the trainer's gradient-accumulation rounds run as
+//! [`crate::pool`] tasks) moves that thread's counters to the caller
+//! with [`take_counts`] and [`merge_counts`], so the caller's
+//! [`take_table`] stays complete. Kernel-internal pool tasks never
+//! allocate tensors, so nothing is lost to them.
 
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
@@ -262,6 +264,37 @@ const KIND_ORDER: [OpKind; N_KINDS] = [
     OpKind::Other,
 ];
 
+/// This thread's raw counters, drained by [`take_counts`] so another
+/// thread can add them to its own with [`merge_counts`].
+#[derive(Clone)]
+pub struct OpCounts([Slot; N_KINDS]);
+
+/// Drains this thread's counters without rendering them.
+pub fn take_counts() -> OpCounts {
+    TABLE
+        .try_with(|t| {
+            OpCounts(std::mem::replace(
+                &mut *t.borrow_mut(),
+                [Slot::default(); N_KINDS],
+            ))
+        })
+        .unwrap_or(OpCounts([Slot::default(); N_KINDS]))
+}
+
+/// Adds counters drained on another thread to this thread's.
+pub fn merge_counts(counts: &OpCounts) {
+    let _ = TABLE.try_with(|t| {
+        for (mine, theirs) in t.borrow_mut().iter_mut().zip(&counts.0) {
+            mine.fwd_calls += theirs.fwd_calls;
+            mine.fwd_nanos += theirs.fwd_nanos;
+            mine.bwd_calls += theirs.bwd_calls;
+            mine.bwd_nanos += theirs.bwd_nanos;
+            mine.fresh_bytes += theirs.fresh_bytes;
+            mine.reused_bytes += theirs.reused_bytes;
+        }
+    });
+}
+
 /// Drains this thread's counters into a table of non-empty rows, in
 /// fixed kind order (so serialized output is deterministic).
 pub fn take_table() -> Vec<OpStatEntry> {
@@ -294,8 +327,12 @@ pub fn take_table() -> Vec<OpStatEntry> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that flip the global enable flag.
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn disabled_scopes_record_nothing() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);
         take_table();
         assert!(fwd(OpKind::Matmul).is_none());
@@ -304,6 +341,7 @@ mod tests {
 
     #[test]
     fn scopes_count_calls_and_nest() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
         take_table();
         {
@@ -317,5 +355,25 @@ mod tests {
         let mm = table.iter().find(|e| e.op == "matmul").unwrap();
         assert_eq!(mm.fwd_calls, 1);
         assert_eq!(mm.bwd_calls, 0);
+    }
+
+    #[test]
+    fn counts_move_between_threads() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_enabled(true);
+        take_table();
+        drop(fwd(OpKind::Tanh));
+        let counts = std::thread::spawn(|| {
+            drop(fwd(OpKind::Tanh));
+            drop(bwd(OpKind::Tanh));
+            take_counts()
+        })
+        .join()
+        .unwrap();
+        merge_counts(&counts);
+        let table = take_table();
+        set_enabled(false);
+        let tanh = table.iter().find(|e| e.op == "tanh").unwrap();
+        assert_eq!((tanh.fwd_calls, tanh.bwd_calls), (2, 1));
     }
 }

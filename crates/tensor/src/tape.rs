@@ -112,7 +112,13 @@ impl Tape {
 
     /// Runs reverse-mode differentiation from `root`, which must be a
     /// scalar (one-element) node, and returns the gradients of every
-    /// node with respect to it.
+    /// leaf with respect to it.
+    ///
+    /// Only [`Tape::leaf`] nodes keep their gradient. An interior
+    /// node's gradient goes back to the [`crate::arena`] as soon as it
+    /// has been propagated to the node's parents, so at most the
+    /// frontier of the reverse walk is live at once, not one gradient
+    /// per node.
     ///
     /// # Panics
     /// Panics if `root` is not scalar or belongs to another tape.
@@ -146,7 +152,9 @@ impl Tape {
             } else {
                 ops::backward_node(op, id, &values, &grad_out, &mut grads);
             }
-            grads[id] = Some(grad_out);
+            if let Op::Leaf = op {
+                grads[id] = Some(grad_out);
+            }
         }
         Gradients { grads }
     }
@@ -158,8 +166,13 @@ pub struct Gradients {
 }
 
 impl Gradients {
-    /// Gradient of the backward root with respect to `var`, or `None`
-    /// if `var` did not influence the root.
+    /// Gradient of the backward root with respect to the leaf `var`,
+    /// or `None` if `var` did not influence the root.
+    ///
+    /// Only leaves keep their gradient (see [`Tape::backward`]): for a
+    /// `var` made by an op this is always `None`. To read the
+    /// gradient at an intermediate value, re-insert that value as a
+    /// leaf and build the rest of the graph on it.
     pub fn get(&self, var: &Var) -> Option<&Tensor> {
         self.grads.get(var.id).and_then(|g| g.as_ref())
     }
@@ -723,6 +736,56 @@ mod tests {
         let g = tape.backward(&z);
         assert!(g.get(&b).is_none());
         assert_eq!(g.get(&a).unwrap().item(), 3.0);
+    }
+
+    #[test]
+    fn interior_nodes_keep_no_gradient() {
+        let tape = Tape::new();
+        let a = tape.leaf(Tensor::from_vec(vec![1.0, -2.0], [2]));
+        let h = a.square();
+        let z = h.scale(0.5).sum();
+        let g = tape.backward(&z);
+        assert_eq!(g.get(&a).unwrap().data(), &[1.0, -2.0]);
+        assert!(g.get(&h).is_none(), "interior gradient was kept");
+        assert!(g.get(&z).is_none(), "root gradient was kept");
+    }
+
+    /// Backward over a deep chain needs a few node-sized buffers above
+    /// the forward graph, not one per node.
+    #[test]
+    fn backward_memory_does_not_grow_with_depth() {
+        const N: usize = 1 << 16; // 256 KiB per node
+        const DEPTH: usize = 200;
+        let node_bytes = (N * 4) as u64;
+        let _g = crate::arena::HIGH_WATER_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let tape = Tape::new();
+        let forward = crate::arena::PeakRegion::begin();
+        let x = tape.leaf(Tensor::full([N], 1.0));
+        let mut y = x.clone();
+        for i in 0..DEPTH {
+            y = if i % 2 == 0 {
+                y.scale(1.001)
+            } else {
+                y.add_scalar(0.5)
+            };
+        }
+        let z = y.sum();
+        let forward_peak = forward.end();
+        assert!(
+            forward_peak >= DEPTH as u64 * node_bytes,
+            "forward peak {forward_peak} below the graph size"
+        );
+        let backward = crate::arena::PeakRegion::begin();
+        let g = tape.backward(&z);
+        let backward_peak = backward.end();
+        assert!(g.get(&x).is_some());
+        assert!(
+            backward_peak <= 16 * node_bytes,
+            "backward peaked {backward_peak} bytes above the forward graph ({} nodes deep)",
+            backward_peak / node_bytes
+        );
     }
 
     #[test]
