@@ -329,6 +329,7 @@ impl SpectraGan {
                 }
             }
         };
+        let caller = std::thread::current().id();
         spectragan_tensor::pool::par_fold_ordered(
             n_chunks,
             window,
@@ -380,17 +381,19 @@ impl SpectraGan {
                     })
                     .collect::<Vec<Tensor>>();
                 drop(sp);
-                out
+                (out, std::thread::current().id() == caller)
             },
-            |_, patches| {
-                // Fold in chunk order and drop the chunk's tensors
-                // right away (their buffers go back to the arena),
-                // then hand out whatever rows just became final.
+            |_, (patches, on_caller)| {
+                // Fold in chunk order and free the chunk's tensors
+                // right away, then hand out whatever rows just became
+                // final.
                 let _sp = obs::span_cat("sew_fold", "generate");
                 for patch in &patches {
                     acc.push(patch);
                 }
-                drop(patches);
+                for patch in patches {
+                    crate::train::free(patch, on_caller);
+                }
                 drain_bands(&mut acc, &mut out_map, &mut stream, &mut stream_live);
             },
         );

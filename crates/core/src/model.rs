@@ -386,8 +386,9 @@ mod tests {
     #[test]
     fn infer_matches_forward_at_k1() {
         // The tape-free inference path must agree with the training
-        // forward pass for every variant (they are separate code paths
-        // over the same weights).
+        // forward pass bit for bit, for every variant and under the
+        // active backend: they are separate code paths over the same
+        // weights and the same backend kernels.
         for variant in [
             Variant::Full,
             Variant::SpecOnly,
@@ -402,9 +403,19 @@ mod tests {
             let out = gen.forward(&bind, &tape.leaf(ctx.clone()), &tape.leaf(z.clone()));
             let inferred = gen.infer(&store, &ctx, &z, 1);
             assert_eq!(inferred.shape().dims(), out.series.shape().dims());
-            for (a, b) in inferred.data().iter().zip(out.series.value().data()) {
-                assert!((a - b).abs() < 2e-3, "{variant:?}: {a} vs {b}");
-            }
+            let differ = inferred
+                .data()
+                .iter()
+                .zip(out.series.value().data())
+                .filter(|(a, b)| a.to_bits() != b.to_bits())
+                .count();
+            assert_eq!(
+                differ,
+                0,
+                "{variant:?} under {:?}: {differ}/{} values differ",
+                spectragan_tensor::backend::kind(),
+                inferred.numel()
+            );
         }
     }
 

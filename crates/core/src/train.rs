@@ -209,11 +209,12 @@ fn norm_of(updates: &[(ParamId, Tensor)]) -> f32 {
         .sqrt()
 }
 
-/// Frees a micro-round's gradient tensor once it is folded. A tensor
-/// allocated on a pool helper thread goes back to the allocator rather
-/// than to this thread's arena (see [`arena::release`]); one allocated
-/// here is recycled as usual.
-fn free(t: Tensor, on_caller: bool) {
+/// Frees a tensor a pool task returned, once it is folded (a
+/// micro-round's gradient, a generated chunk). A tensor allocated on a
+/// pool helper thread goes back to the allocator rather than to this
+/// thread's arena (see [`arena::release`]); one allocated here is
+/// recycled as usual.
+pub(crate) fn free(t: Tensor, on_caller: bool) {
     if on_caller {
         drop(t);
     } else {

@@ -10,9 +10,9 @@
 //! tests in this binary are serialized with a mutex (other integration
 //! test files run as separate processes and cannot interfere).
 
-use spectragan_core::{SpectraGan, SpectraGanConfig, Variant};
+use spectragan_core::{PreparedContext, SpectraGan, SpectraGanConfig, Variant};
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
-use spectragan_tensor::pool;
+use spectragan_tensor::{arena, pool};
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -138,4 +138,44 @@ fn back_to_back_generation_peaks_are_independent() {
         heavy.peak_arena_bytes
     );
     assert!(heavy.wall_s > 0.0 && light.wall_s > 0.0);
+}
+
+/// Regression (arena drift): chunks made on a pool helper thread are
+/// freed to the allocator once folded, not parked in the caller's
+/// arena. Before, every generation at two threads left its chunk
+/// outputs in the calling thread's pool, which grew by that much per
+/// run (up to the pool's 256 MiB cap) — in a server, per request. The
+/// streamed path is what serve workers run, so both entry points are
+/// checked.
+#[test]
+fn repeated_generation_keeps_the_caller_arena_flat() {
+    let _g = LOCK.lock().unwrap();
+    let model = SpectraGan::new(SpectraGanConfig::tiny(), 2);
+    let c = city(24, 5);
+    let prepared = PreparedContext::new(&c.context);
+    pool::set_threads(Some(2));
+    let run = || {
+        model
+            .try_generate_prepared_report(&prepared, 30, 9, true, 4)
+            .unwrap();
+        let mut bands = 0;
+        model
+            .try_generate_stream(&prepared, 30, 9, true, 4, &mut |_| {
+                bands += 1;
+                true
+            })
+            .unwrap();
+        assert!(bands > 0);
+    };
+    run();
+    let warm = arena::pooled_bytes();
+    for i in 0..3 {
+        run();
+        assert_eq!(
+            arena::pooled_bytes(),
+            warm,
+            "caller arena grew over generation {i} after warm-up"
+        );
+    }
+    pool::set_threads(None);
 }

@@ -18,7 +18,7 @@
 use crate::init;
 use crate::param::{Binding, ParamId, ParamStore};
 use rand::Rng;
-use spectragan_tensor::{Tensor, Var};
+use spectragan_tensor::{backend, Tensor, Var};
 
 /// Hidden and cell state of an LSTM, each `[N, hidden]`.
 #[derive(Clone)]
@@ -153,6 +153,10 @@ impl Lstm {
     }
 
     /// Tape-free step for inference with a precomputed input projection.
+    ///
+    /// The same gate sum and the same backend activation slices as
+    /// [`Lstm::step_projected`], so it is bit-equal to the taped step
+    /// under every backend.
     pub fn step_infer_projected(
         &self,
         store: &ParamStore,
@@ -161,26 +165,47 @@ impl Lstm {
         c: &Tensor,
     ) -> (Tensor, Tensor) {
         let hs = self.hidden_size;
+        let be = backend::active();
         let mut gates = xw.add(&store.infer_matmul(h, self.wh));
         let b = store.weight(self.b);
         let n = gates.shape().dim(0);
-        for row in 0..n {
-            for col in 0..4 * hs {
-                gates.data_mut()[row * 4 * hs + col] += b.data()[col];
+        // The g gates of every row in one contiguous block, so tanh
+        // runs over one long slice.
+        let mut g = Tensor::zeros([n, hs]);
+        for (row, g_row) in gates
+            .data_mut()
+            .chunks_exact_mut(4 * hs)
+            .zip(g.data_mut().chunks_exact_mut(hs))
+        {
+            for (v, &bv) in row.iter_mut().zip(b.data()) {
+                *v += bv;
+            }
+            be.sigmoid_slice(&mut row[..2 * hs]);
+            be.sigmoid_slice(&mut row[3 * hs..]);
+            g_row.copy_from_slice(&row[2 * hs..3 * hs]);
+        }
+        be.tanh_slice(g.data_mut());
+        let mut c_new = Tensor::zeros([n, hs]);
+        for ((c_row, row), (g_row, c_old)) in c_new
+            .data_mut()
+            .chunks_exact_mut(hs)
+            .zip(gates.data().chunks_exact(4 * hs))
+            .zip(g.data().chunks_exact(hs).zip(c.data().chunks_exact(hs)))
+        {
+            let (i, f) = (&row[..hs], &row[hs..2 * hs]);
+            for k in 0..hs {
+                c_row[k] = f[k] * c_old[k] + i[k] * g_row[k];
             }
         }
-        let mut h_new = Tensor::zeros([n, hs]);
-        let mut c_new = Tensor::zeros([n, hs]);
-        for row in 0..n {
-            for k in 0..hs {
-                let g_row = &gates.data()[row * 4 * hs..(row + 1) * 4 * hs];
-                let i = sigmoid(g_row[k]);
-                let f = sigmoid(g_row[hs + k]);
-                let g = g_row[2 * hs + k].tanh();
-                let o = sigmoid(g_row[3 * hs + k]);
-                let c_val = f * c.data()[row * hs + k] + i * g;
-                c_new.data_mut()[row * hs + k] = c_val;
-                h_new.data_mut()[row * hs + k] = o * c_val.tanh();
+        let mut h_new = c_new.clone();
+        be.tanh_slice(h_new.data_mut());
+        for (h_row, row) in h_new
+            .data_mut()
+            .chunks_exact_mut(hs)
+            .zip(gates.data().chunks_exact(4 * hs))
+        {
+            for (h, &o) in h_row.iter_mut().zip(&row[3 * hs..]) {
+                *h *= o;
             }
         }
         (h_new, c_new)
@@ -207,11 +232,6 @@ impl Lstm {
         }
         out
     }
-}
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]
@@ -284,12 +304,10 @@ mod tests {
             h = h2;
             c = c2;
         }
-        for (p, q) in state.h.value().data().iter().zip(h.data()) {
-            assert!((p - q).abs() < 1e-6);
-        }
-        for (p, q) in state.c.value().data().iter().zip(c.data()) {
-            assert!((p - q).abs() < 1e-6);
-        }
+        // Same gate sum, same backend activation slices: bit-equal.
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&state.h.value()), bits(&h));
+        assert_eq!(bits(&state.c.value()), bits(&c));
     }
 
     /// The LSTM can learn a tiny memory task: output the *first* input

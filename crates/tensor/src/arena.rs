@@ -28,6 +28,10 @@
 //!   helper returns to the caller are therefore freed with [`release`]
 //!   once consumed, not dropped: the caller's pool would otherwise
 //!   gain a set with every call (and the helpers' pools lose one).
+//!   Grad-accum rounds and generation chunks both do this; for
+//!   generation it keeps a long-lived process (a server, a benchmark)
+//!   from parking one city's chunk outputs per run in the caller's
+//!   pool until the cap.
 
 use std::cell::RefCell;
 use std::collections::HashMap;

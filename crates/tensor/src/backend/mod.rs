@@ -38,6 +38,7 @@
 
 pub mod scalar;
 pub mod simd;
+mod tanh;
 
 use crate::ops::FusedAct;
 use crate::shape::Shape;
@@ -139,16 +140,17 @@ pub trait Backend: Sync {
         pad: usize,
     ) -> Tensor;
 
-    /// Elementwise `tanh` in place. The default is the exact libm
-    /// expression the historical interpreter used, so the scalar
-    /// backend stays bit-identical; faster backends may substitute a
-    /// vectorizable approximation within the parity-suite tolerance.
-    /// The fused-activation epilogue routes through this too, so fused
-    /// and unfused compositions stay bit-equal *per backend*.
+    /// Elementwise `tanh` in place. The default is the in-crate
+    /// transcription of fdlibm `tanhf` (module `tanh`): the bits of the
+    /// libm `tanhf` the historical interpreter called (glibc 2.36 and
+    /// earlier), vectorized and independent of the host, so the scalar
+    /// backend stays bit-identical. Faster backends may substitute a
+    /// cheaper approximation within the parity-suite tolerance. The
+    /// fused-activation epilogue, the taped op and the inference LSTM
+    /// all route through this, so every composition stays bit-equal
+    /// *per backend*.
     fn tanh_slice(&self, y: &mut [f32]) {
-        for v in y {
-            *v = v.tanh();
-        }
+        tanh::tanh_slice(y);
     }
 
     /// Elementwise logistic sigmoid in place; same contract as

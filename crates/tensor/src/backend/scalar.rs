@@ -5,6 +5,9 @@
 //! per-element summation order, the same arena buffers. Every golden
 //! fixture, kill/resume artifact and determinism sweep recorded before
 //! the backend split reproduces byte-identically against this backend.
+//! Its `tanh_slice` (the trait default) is an in-crate transcription of
+//! the libm `tanhf` the historical kernels called, bit for bit (see
+//! `backend/tanh.rs`).
 //!
 //! The one deliberate change: the conv gradient kernels no longer skip
 //! contributions whose upstream gradient is exactly `±0.0`. The skip
